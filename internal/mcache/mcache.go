@@ -29,6 +29,7 @@ import (
 	"log"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"omniware/internal/audit"
 	"omniware/internal/mcache/diskstore"
@@ -83,10 +84,11 @@ func (v VerifyMode) String() string {
 	}
 }
 
-// instCost estimates the in-memory size of one target.Inst for the
-// eviction budget. Exactness doesn't matter; monotonicity in code
-// length does.
-const instCost = 40
+// instCost is the in-memory size of one instruction of a cached
+// program for the eviction budget: the target.Inst itself plus the
+// issue facts its first run predecodes, which live as long as the
+// program does.
+const instCost = int64(unsafe.Sizeof(target.Inst{})) + target.PredecodeBytesPerInst
 
 // Stats is a snapshot of the cache counters. Misses equals the number
 // of translations the cache performed; Hits counts entries served from

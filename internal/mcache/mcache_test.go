@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"omniware/internal/cc"
 	"omniware/internal/core"
@@ -123,6 +124,36 @@ func TestUnsandboxedRefused(t *testing.T) {
 	}
 }
 
+// instBytes is what one cached instruction occupies: the instruction
+// and its predecoded issue facts.
+const instBytes = int64(unsafe.Sizeof(target.Inst{})) + target.PredecodeBytesPerInst
+
+// The byte budget must count what a cached program really holds once
+// it has run: its code, its predecoded issue table and its index map.
+func TestCodeBytesCountPredecodedTable(t *testing.T) {
+	mod := buildMod(t, prog1)
+	m := target.X86Machine()
+	cfg := core.RunConfig{}
+	si := core.SegInfoFor(mod, cfg)
+	c := mcache.New(0)
+	prog, _, err := c.Translate(mod, m, si, translate.Paper(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := core.NewHost(mod, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.RunProgram(m, prog); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(prog.Code))*instBytes + int64(len(prog.OmniToNative))*4
+	if got := c.Stats().CodeBytes; got != want {
+		t.Errorf("CodeBytes = %d, want %d (%d instructions of %d bytes + %d index entries)",
+			got, want, len(prog.Code), instBytes, len(prog.OmniToNative))
+	}
+}
+
 func TestLRUEvictionByCodeSize(t *testing.T) {
 	srcs := []string{
 		`int main(void){ return 1; }`,
@@ -141,7 +172,7 @@ func TestLRUEvictionByCodeSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, int64(len(p.Code))*40)
+		sizes = append(sizes, int64(len(p.Code))*instBytes)
 	}
 	// Budget for roughly two of the three programs.
 	limit := sizes[0] + sizes[1] + sizes[2] - sizes[0]/2

@@ -170,6 +170,68 @@ func TestFindBinarySearch(t *testing.T) {
 	}
 }
 
+// Find remembers its last hit; every change to the mapping must drop
+// it, so a lookup never returns a segment that is no longer mapped.
+func TestFindLastHitFollowsMapping(t *testing.T) {
+	var m Memory
+	a, err := m.Map("a", 0x10000, PageSize, Read|Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Find(0x10004) != a {
+		t.Fatal("Find missed a")
+	}
+	if err := m.Unmap(0x10000); err != nil {
+		t.Fatal(err)
+	}
+	if s := m.Find(0x10004); s != nil {
+		t.Errorf("Find after Unmap returned %q", s.Name)
+	}
+	if _, f := m.LoadU32(0x10004); f == nil || f.Kind != FaultUnmapped {
+		t.Errorf("load after Unmap: %v, want an unmapped fault", f)
+	}
+
+	// A pooled segment detached by Reset and recycled at a new base:
+	// the old base must fault, the new one must resolve to it.
+	p, err := NewPooledSegment("p", 0x20000, PageSize, Read|Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.StoreU32(0x20008, 7); f != nil {
+		t.Fatal(f)
+	}
+	m.Reset()
+	if _, f := m.LoadU32(0x20008); f == nil {
+		t.Error("load after Reset succeeded")
+	}
+	p.Recycle("p", 0x30000, Read)
+	if err := m.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, f := m.LoadU32(0x20008); f == nil {
+		t.Error("load at the recycled segment's old base succeeded")
+	}
+	if f := m.StoreU32(0x30008, 1); f == nil || f.Kind != FaultProt {
+		t.Errorf("store to the recycled read-only segment: %v, want a protection fault", f)
+	}
+
+	// Mapping a segment below the last hit shifts the sorted list;
+	// both must still resolve.
+	if m.Find(0x30000) != p {
+		t.Fatal("Find missed p")
+	}
+	b, err := m.Map("b", 0x1000, PageSize, Read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Find(0x1000) != b || m.Find(0x30000) != p {
+		t.Error("Find wrong after mapping below the last hit")
+	}
+}
+
 // Property: a store followed by a load of the same size at the same
 // address returns the stored value, independent of where in a writable
 // segment it lands.

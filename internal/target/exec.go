@@ -85,6 +85,9 @@ type Sim struct {
 	pipe     pipe
 }
 
+// pollEvery is the Interrupt polling interval in executed instructions.
+const pollEvery = 0x1000
+
 // New prepares a simulator for one run of prog. The OmniVM stack
 // pointer and return-address images are initialized exactly as the
 // interpreter initializes them.
@@ -222,29 +225,55 @@ func (s *Sim) exception(kind, addr uint32, src int32, desc string) (Result, bool
 
 // account charges one executed instruction to the statistics and the
 // pipeline model.
-func (s *Sim) account(in *Inst) {
+func (s *Sim) account(in *Inst, f *issueFact) {
 	s.insts++
 	s.counts[in.Cat]++
-	s.pipe.issue(in)
+	s.pipe.issue(f)
+}
+
+// stop returns the instruction count at which Run next has to look at
+// the budget or poll Interrupt.
+func (s *Sim) stop() uint64 {
+	stop := uint64(math.MaxUint64)
+	if s.MaxInsts > 0 {
+		stop = s.MaxInsts
+	}
+	if s.Interrupt != nil && s.nextPoll < stop {
+		stop = s.nextPoll
+	}
+	return stop
+}
+
+// threshold handles Run reaching its stop count: the budget is
+// exhausted, or it is time to poll Interrupt. It is a threshold (not
+// an exact match) because delay-slot machines account two instructions
+// per branch iteration and can step over the exact count.
+func (s *Sim) threshold() error {
+	if s.MaxInsts > 0 && s.insts >= s.MaxInsts {
+		return fmt.Errorf("target/%s: %w (%d) at pc=%d", s.M.Name, hostapi.ErrBudget, s.MaxInsts, s.pc)
+	}
+	if s.Interrupt != nil && s.insts >= s.nextPoll {
+		s.nextPoll = s.insts + pollEvery
+		if s.Interrupt.Load() {
+			return fmt.Errorf("target/%s: %w at pc=%d after %d instructions", s.M.Name, hostapi.ErrInterrupted, s.pc, s.insts)
+		}
+	}
+	return nil
 }
 
 // Run executes until halt, exit, an unhandled exception, or the
 // instruction budget.
 func (s *Sim) Run() (Result, error) {
 	code := s.Prog.Code
+	facts := s.Prog.issueFacts(s.M)
 	n := int32(len(code))
+	stop := s.stop()
 	for {
-		if s.MaxInsts > 0 && s.insts >= s.MaxInsts {
-			return Result{}, fmt.Errorf("target/%s: %w (%d) at pc=%d", s.M.Name, hostapi.ErrBudget, s.MaxInsts, s.pc)
-		}
-		// A threshold (not insts&mask == 0) because delay-slot machines
-		// account two instructions per branch iteration: an exact-match
-		// poll can step over every multiple of the mask and never fire.
-		if s.Interrupt != nil && s.insts >= s.nextPoll {
-			s.nextPoll = s.insts + 0x1000
-			if s.Interrupt.Load() {
-				return Result{}, fmt.Errorf("target/%s: %w at pc=%d after %d instructions", s.M.Name, hostapi.ErrInterrupted, s.pc, s.insts)
+		if s.insts >= stop {
+			if err := s.threshold(); err != nil {
+				return Result{}, err
 			}
+			stop = s.stop()
 		}
 		if s.pc < 0 || s.pc >= n {
 			if res, done := s.exception(excBadJump, uint32(s.pc), s.pc, fmt.Sprintf("target/%s: pc %d out of code", s.M.Name, s.pc)); done {
@@ -253,12 +282,12 @@ func (s *Sim) Run() (Result, error) {
 			continue
 		}
 		in := &code[s.pc]
-		op := in.Op
+		f := &facts[s.pc]
 
 		// Control transfers (with delay-slot execution on the
 		// delay-slot machines); everything else is a simple step.
-		if op.IsBranch() || op.IsJump() {
-			s.account(in)
+		if f.bits&factCtl != 0 {
+			s.account(in, f)
 			taken, tgt, kind, addr := s.resolve(in)
 			if kind != 0 {
 				if res, done := s.exception(kind, addr, in.Src, fmt.Sprintf("target/%s: bad indirect target %#x", s.M.Name, addr)); done {
@@ -270,11 +299,11 @@ func (s *Sim) Run() (Result, error) {
 			if s.M.HasDelaySlot {
 				next = s.pc + 2
 				if s.pc+1 < n {
-					slot := &code[s.pc+1]
-					if slot.Op.IsBranch() || slot.Op.IsJump() || slot.Op == Syscall {
+					slot, sf := &code[s.pc+1], &facts[s.pc+1]
+					if sf.bits&factCtl != 0 || slot.Op == Syscall {
 						return Result{}, fmt.Errorf("target/%s: control transfer in delay slot at %d", s.M.Name, s.pc+1)
 					}
-					s.account(slot)
+					s.account(slot, sf)
 					if kind, addr, fault := s.step(slot); fault {
 						if res, done := s.exception(kind, addr, slot.Src, fmt.Sprintf("target/%s: fault in delay slot at %d", s.M.Name, s.pc+1)); done {
 							return res, nil
@@ -290,9 +319,9 @@ func (s *Sim) Run() (Result, error) {
 			continue
 		}
 
-		switch op {
+		switch in.Op {
 		case Syscall:
-			s.account(in)
+			s.account(in, f)
 			if err := s.Env.Syscall(in.Imm, s); err != nil {
 				return Result{}, fmt.Errorf("target/%s: pc=%d: %w", s.M.Name, s.pc, err)
 			}
@@ -301,15 +330,15 @@ func (s *Sim) Run() (Result, error) {
 			}
 			s.pc++
 		case Break:
-			s.account(in)
+			s.account(in, f)
 			if res, done := s.exception(excBreak, uint32(s.pc), in.Src, fmt.Sprintf("target/%s: breakpoint at %d", s.M.Name, s.pc)); done {
 				return res, nil
 			}
 		case Halt:
-			s.account(in)
+			s.account(in, f)
 			return s.result(int32(s.IntReg(1)), false, ""), nil
 		default:
-			s.account(in)
+			s.account(in, f)
 			if kind, addr, fault := s.step(in); fault {
 				if res, done := s.exception(kind, addr, in.Src, fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", s.M.Name, addr, s.pc)); done {
 					return res, nil

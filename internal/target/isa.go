@@ -12,7 +12,10 @@
 // land on the right native instruction.
 package target
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Reg is a physical register number. Integer registers occupy 0..31
 // and FP registers 32..63, so the two files never alias in dependence
@@ -331,6 +334,12 @@ func (a Arch) String() string {
 }
 
 // Program is translated or natively compiled target code.
+//
+// A Program is immutable once it has been run: runs share a table of
+// issue facts derived from Code, so changing an instruction in place
+// would leave that table describing the old code. To run altered code,
+// copy the Program and give the copy its own Code slice; the copy then
+// builds its own table.
 type Program struct {
 	Arch Arch
 	Code []Inst
@@ -343,6 +352,12 @@ type Program struct {
 	// Static counts the translator's emitted instructions by category
 	// (Figure 1's static code expansion).
 	Static [NumCats]int
+
+	// issue points at the predecoded *issueTable (cycles.go), built by
+	// the first run and published with an atomic store. It is a plain
+	// unsafe.Pointer rather than an atomic.Pointer so Programs stay
+	// copyable; the table records which Code it describes.
+	issue unsafe.Pointer
 }
 
 // Result is the outcome of a simulated execution.

@@ -117,13 +117,15 @@ func TestRegSaveLayout(t *testing.T) {
 	}
 }
 
-// charge runs insts through a machine's pipeline model and returns the
-// cycle count including the final partially-filled issue slot.
+// charge runs insts through a machine's predecoded pipeline model and
+// returns the cycle count including the final partially-filled issue
+// slot.
 func charge(m *Machine, insts []Inst) uint64 {
 	var p pipe
 	p.init(m)
-	for i := range insts {
-		p.issue(&insts[i])
+	facts := (&Program{Arch: m.Arch, Code: insts}).issueFacts(m)
+	for i := range facts {
+		p.issue(&facts[i])
 	}
 	c := p.clock
 	if p.slot > 0 {
@@ -132,69 +134,103 @@ func charge(m *Machine, insts []Inst) uint64 {
 	return c
 }
 
-func TestPipelineLoadUseInterlock(t *testing.T) {
-	m := MIPSMachine()
-	dep := []Inst{
-		{Op: Lw, Rd: 2, Rs1: 29, Rs2: NoReg},
-		{Op: Add, Rd: 3, Rs1: 2, Rs2: 2}, // waits a cycle on the load
-	}
-	indep := []Inst{
-		{Op: Lw, Rd: 2, Rs1: 29, Rs2: NoReg},
-		{Op: Add, Rd: 3, Rs1: 4, Rs2: 4},
-	}
-	if charge(m, dep) <= charge(m, indep) {
-		t.Errorf("load-use interlock not charged: dep %d, indep %d", charge(m, dep), charge(m, indep))
+// ri builds a register-form instruction (NoReg for absent operands).
+func ri(op Op, rd, rs1, rs2 Reg) Inst {
+	return Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}
+}
+
+type chargeCase struct {
+	name  string
+	insts []Inst
+	want  uint64
+}
+
+func checkCharges(t *testing.T, m *Machine, cases []chargeCase) {
+	t.Helper()
+	for _, c := range cases {
+		if got := charge(m, c.insts); got != c.want {
+			t.Errorf("%s: %s took %d cycles, want %d", m.Name, c.name, got, c.want)
+		}
 	}
 }
 
+func TestPipelineLoadUseInterlock(t *testing.T) {
+	checkCharges(t, MIPSMachine(), []chargeCase{
+		{"load then use", []Inst{ri(Lw, 2, 29, NoReg), ri(Add, 3, 2, 2)}, 3},
+		{"load then independent", []Inst{ri(Lw, 2, 29, NoReg), ri(Add, 3, 4, 4)}, 2},
+		{"load then store of the value", []Inst{ri(Lw, 2, 29, NoReg), ri(Sw, 2, 29, NoReg)}, 3},
+		{"mul then use", []Inst{ri(Mul, 2, 4, 5), ri(Add, 3, 2, 2)}, 5},
+		{"div then use", []Inst{ri(Div, 2, 4, 5), ri(Add, 3, 2, 2)}, 13},
+	})
+}
+
+func TestPipelineSPARCLatencies(t *testing.T) {
+	checkCharges(t, SPARCMachine(), []chargeCase{
+		{"load then use", []Inst{ri(Lw, 8, 14, NoReg), ri(Add, 9, 8, 8)}, 3},
+		{"mul then use", []Inst{ri(Mul, 8, 9, 10), ri(Add, 11, 8, 8)}, 6},
+		{"div then use", []Inst{ri(Div, 8, 9, 10), ri(Add, 11, 8, 8)}, 19},
+		{"fmuld then use", []Inst{ri(FmulD, 32, 33, 34), ri(FaddD, 35, 32, 32)}, 5},
+		{"fdivd then use", []Inst{ri(FdivD, 32, 33, 34), ri(FaddD, 35, 32, 32)}, 13},
+		{"compare then branch", []Inst{ri(CmpI, NoReg, 8, NoReg), ri(Bcc, NoReg, NoReg, NoReg)}, 2},
+		{"fdivd then store of the value", []Inst{ri(FdivD, 32, 33, 34), ri(Sd, 32, 14, NoReg)}, 13},
+	})
+}
+
+// lead issues alone in cycle 0 on the Pentium. The scoreboard starts
+// at cycle 0, so an address form issued in cycle 0 sees its (never
+// written) base as produced the cycle before and takes an AGI stall;
+// cases about other rules start after lead.
+var lead = ri(FaddD, 40, 41, 42)
+
 func TestPipelinePentiumPairing(t *testing.T) {
-	m := X86Machine()
-	pairable := []Inst{
-		{Op: Add, Rd: 0, Rs1: 0, Rs2: 1},
-		{Op: Add, Rd: 2, Rs1: 2, Rs2: 3},
-	}
-	if c := charge(m, pairable); c != 1 {
-		t.Errorf("independent ALU pair took %d cycles, want 1", c)
-	}
-	shifts := []Inst{
-		{Op: SllI, Rd: 0, Rs1: 0, Rs2: NoReg, Imm: 1},
-		{Op: SllI, Rd: 2, Rs1: 2, Rs2: NoReg, Imm: 1},
-	}
-	if c := charge(m, shifts); c < 2 {
-		t.Errorf("two U-only shifts paired: %d cycles", c)
-	}
+	memSrc := Inst{Op: Add, Rd: 2, Rs1: 2, Rs2: 3, MemSrc: true}
+	memDst := Inst{Op: Add, Rd: NoReg, Rs1: 1, Rs2: NoReg, MemDst: true}
+	checkCharges(t, X86Machine(), []chargeCase{
+		{"independent ALU pair", []Inst{ri(Add, 0, 0, 1), ri(Add, 2, 2, 3)}, 1},
+		{"three ALU ops", []Inst{ri(Add, 0, 0, 1), ri(Add, 2, 2, 3), ri(Sub, 6, 6, 3)}, 2},
+		{"two U-only shifts", []Inst{ri(SllI, 0, 0, NoReg), ri(SllI, 2, 2, NoReg)}, 2},
+		{"shift then ALU in V", []Inst{ri(SllI, 0, 0, NoReg), ri(Add, 2, 2, 3)}, 1},
+		{"ALU then shift", []Inst{ri(Add, 2, 2, 3), ri(SllI, 0, 0, NoReg)}, 2},
+		{"ALU then branch in V", []Inst{ri(Add, 0, 0, 1), ri(J, NoReg, NoReg, NoReg)}, 1},
+		{"branch ends the pair", []Inst{ri(J, NoReg, NoReg, NoReg), ri(Add, 0, 0, 1)}, 2},
+		{"FP issues alone", []Inst{ri(FaddD, 32, 33, 34), ri(Add, 0, 0, 1)}, 2},
+		{"MemSrc then ALU in V", []Inst{lead, memSrc, ri(Add, 0, 0, 1)}, 2},
+		{"MemSrc only in U", []Inst{lead, ri(Add, 0, 0, 1), memSrc}, 3},
+		{"MemDst extra cycle", []Inst{memDst}, 2},
+		{"ALU then MemDst", []Inst{ri(Add, 0, 0, 1), memDst}, 3},
+		{"mul then use", []Inst{ri(Mul, 0, 0, 1), ri(Add, 2, 0, 0)}, 11},
+		// The store buffer takes the value after issue: a store waits
+		// only on its address register.
+		{"mul then store of the value", []Inst{ri(Mul, 0, 0, 1), ri(Sw, 0, 3, NoReg)}, 2},
+		{"mul then store through it", []Inst{ri(Mul, 0, 0, 1), ri(Sw, 3, 0, NoReg)}, 12},
+	})
 }
 
 func TestPipelinePentiumAGIStall(t *testing.T) {
-	m := X86Machine()
-	agi := []Inst{
-		{Op: Add, Rd: 0, Rs1: 0, Rs2: 1},
-		{Op: Lw, Rd: 2, Rs1: 0, Rs2: NoReg}, // base computed the cycle before
-	}
-	noAgi := []Inst{
-		{Op: Add, Rd: 0, Rs1: 0, Rs2: 1},
-		{Op: Lw, Rd: 2, Rs1: 3, Rs2: NoReg},
-	}
-	if charge(m, agi) <= charge(m, noAgi) {
-		t.Errorf("AGI stall not charged: agi %d, clean %d", charge(m, agi), charge(m, noAgi))
-	}
+	set0 := ri(Add, 0, 0, 1)
+	checkCharges(t, X86Machine(), []chargeCase{
+		{"load through a base set the cycle before", []Inst{lead, set0, ri(Lw, 2, 0, NoReg)}, 4},
+		{"load through another base", []Inst{lead, set0, ri(Lw, 2, 3, NoReg)}, 2},
+		{"store through a base set the cycle before", []Inst{lead, set0, ri(Sw, 2, 0, NoReg)}, 4},
+		{"lea of a base set the cycle before", []Inst{lead, set0, {Op: Lea, Rd: 2, Rs1: 0, Rs2: NoReg, Imm: 4}}, 4},
+		{"MemSrc through a base set the cycle before", []Inst{lead, ri(Add, 3, 3, 1), {Op: Add, Rd: 2, Rs1: 2, Rs2: 3, MemSrc: true}}, 4},
+		{"ALU use is not an AGI", []Inst{lead, set0, ri(Add, 2, 0, 0)}, 3},
+		{"address form in cycle 0", []Inst{ri(Lw, 2, 3, NoReg)}, 2},
+	})
 }
 
 func TestPipelinePPCDualIssueAndFolding(t *testing.T) {
-	m := PPCMachine()
-	two := []Inst{
-		{Op: Add, Rd: 3, Rs1: 4, Rs2: 5},
-		{Op: Add, Rd: 6, Rs1: 7, Rs2: 8},
-	}
-	if c := charge(m, two); c != 1 {
-		t.Errorf("dual issue: %d cycles for 2 independent adds, want 1", c)
-	}
-	// A folded branch consumes no issue slot: add+add+branch still one
-	// cycle.
-	withBranch := append(append([]Inst{}, two...), Inst{Op: J, Rd: NoReg, Rs1: NoReg, Rs2: NoReg, Target: 0})
-	if c := charge(m, withBranch); c != 1 {
-		t.Errorf("branch folding: %d cycles, want 1", c)
-	}
+	add1, add2 := ri(Add, 3, 4, 5), ri(Add, 6, 7, 8)
+	checkCharges(t, PPCMachine(), []chargeCase{
+		{"two independent adds", []Inst{add1, add2}, 1},
+		{"three independent adds", []Inst{add1, add2, ri(Add, 9, 10, 11)}, 2},
+		{"folded branch takes no slot", []Inst{add1, add2, ri(J, NoReg, NoReg, NoReg)}, 1},
+		{"load then use", []Inst{ri(Lw, 3, 1, NoReg), ri(Add, 4, 3, 3)}, 3},
+		// CR forwarding: the folded branch sees the compare in its own
+		// cycle, so the add after it still pairs with the compare.
+		{"compare, branch, add", []Inst{ri(Cmp, NoReg, 3, 4), ri(Bcc, NoReg, NoReg, NoReg), add2}, 1},
+		{"mul then use", []Inst{ri(Mul, 3, 4, 5), ri(Add, 6, 3, 3)}, 6},
+	})
 }
 
 func TestDelaySlotControlInstructionFaults(t *testing.T) {
