@@ -74,3 +74,15 @@ func TestAttachRejectsOverlap(t *testing.T) {
 		t.Fatal("overlapping attach accepted")
 	}
 }
+
+func TestFillPerms(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		pp := make([]Perm, n)
+		fillPerms(pp, Read|Exec)
+		for i, p := range pp {
+			if p != Read|Exec {
+				t.Fatalf("len %d: perms[%d] = %v", n, i, p)
+			}
+		}
+	}
+}
