@@ -13,6 +13,7 @@ import (
 	"omniware/internal/cc"
 	"omniware/internal/core"
 	"omniware/internal/native"
+	"omniware/internal/seg"
 	"omniware/internal/target"
 	"omniware/internal/translate"
 )
@@ -81,7 +82,111 @@ func goldenRuns(t *testing.T) []byte {
 			}
 		}
 	}
+	edgeRuns(t, &buf)
 	return buf.Bytes()
+}
+
+// edgeCases are small programs that leave the simulator's straight-line
+// fast path: exceptions raised by a store the host has write-protected
+// (arr's second page, when the program has an arr), handled and not,
+// in plain code and in a delay slot; a jump through a code pointer no
+// code address maps to; and a loop whose output depends on _clock(),
+// which reads the cycle count mid-run.
+var edgeCases = []struct {
+	name, config string
+	opt          translate.Options
+	optLevel     int
+	src          string
+}{
+	{"prot-handled", "sched", translate.Options{Schedule: true}, 1, `
+void on_fault(void) { _exit(55); }
+char arr[8192];
+int main(void) {
+	_set_handler((int)on_fault);
+	arr[4096] = 1;
+	return 1;
+}`},
+	{"prot-unhandled", "plain", translate.Options{}, 1, `
+char arr[8192];
+int main(void) {
+	arr[4096] = 1;
+	return 1;
+}`},
+	// With scheduling on, the store fills the loop branch's delay slot
+	// on MIPS and SPARC.
+	{"slot-unhandled", "nosfi", translate.Paper(false), 2, `
+char arr[8192];
+int main(void) {
+	int k = 0;
+	while (k < 100) { k++; arr[4096] = 1; }
+	return k;
+}`},
+	{"slot-handled", "nosfi", translate.Paper(false), 2, `
+char arr[8192];
+int k;
+void on_fault(void) { _print_int(k); _exit(56); }
+int main(void) {
+	_set_handler((int)on_fault);
+	while (k < 100) { k++; arr[4096] = 1; }
+	return k;
+}`},
+	{"badjump-unhandled", "nosfi", translate.Paper(false), 2, `
+int main(void) {
+	void (*f)(void);
+	f = (void (*)(void))0x40000000;
+	f();
+	return 1;
+}`},
+	{"badjump-handled", "nosfi", translate.Paper(false), 2, `
+void on_fault(void) { _exit(57); }
+int main(void) {
+	void (*f)(void);
+	_set_handler((int)on_fault);
+	f = (void (*)(void))0x40000000;
+	f();
+	return 1;
+}`},
+	{"clock", "sfi", translate.Paper(true), 2, `
+int main(void) {
+	unsigned s = 0;
+	int i;
+	for (i = 0; i < 1000; i++) {
+		s += i * 7;
+		if ((i & 63) == 0)
+			s ^= _clock();
+	}
+	_print_uint(s);
+	return s & 127;
+}`},
+}
+
+// edgeRuns appends the golden lines of edgeCases on every target.
+func edgeRuns(t *testing.T, buf *bytes.Buffer) {
+	for _, c := range edgeCases {
+		mod, err := core.BuildC([]core.SourceFile{{Name: c.name + ".c", Src: c.src}}, cc.Options{OptLevel: c.optLevel})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, mach := range target.Machines() {
+			h, err := core.NewHost(mod, core.RunConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range mod.Symbols {
+				if s.Name == "arr" {
+					page := (s.Value + 4096) &^ (seg.PageSize - 1)
+					if err := h.Mem.Protect(page, seg.PageSize, seg.Read); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			res, _, err := h.RunTranslated(mach, c.opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, mach.Name, err)
+			}
+			fmt.Fprintln(buf, goldenLine(c.name, mach.Name, c.config, res, h.Output()))
+		}
+	}
 }
 
 // TestGoldenResults pins the simulator's observable results on the
