@@ -183,14 +183,29 @@ func fillPerms(pp []Perm, p Perm) {
 
 // Memory is a segmented address space. The zero value is empty; add
 // segments with Map. A Memory belongs to one goroutine at a time:
-// even lookups update its last-hit segment.
+// even loads fill its TLB.
 type Memory struct {
 	segs []*Segment // sorted by Base
-	// last is the segment the previous successful Find returned,
-	// tried before the binary search (runs hit one segment in long
-	// streaks). Every change to segs clears it.
-	last *Segment
+	tlb  [tlbEntries]tlbEntry
 }
+
+// tlbEntries is the size of a Memory's direct-mapped page TLB.
+const tlbEntries = 64
+
+// tlbEntry caches one page an access has been fully checked against:
+// the page's backing bytes and the accesses it admits without another
+// check. A load fill admits loads only; a store fill, made after the
+// store marked the page dirty, admits stores (and loads, if the page
+// is readable), so a TLB hit never skips dirty tracking. Every change
+// to the mapping or to page permissions empties the TLB.
+type tlbEntry struct {
+	base  uint32 // the page's address
+	perms Perm   // 0 in an empty entry
+	data  *[PageSize]byte
+}
+
+// flush empties the TLB.
+func (m *Memory) flush() { m.tlb = [tlbEntries]tlbEntry{} }
 
 // Map creates a segment of size bytes at base with uniform perms.
 // Size is rounded up to a page multiple. Overlapping an existing
@@ -229,7 +244,7 @@ func (m *Memory) insert(s *Segment) {
 	m.segs = append(m.segs, nil)
 	copy(m.segs[i+1:], m.segs[i:])
 	m.segs[i] = s
-	m.last = nil
+	m.flush()
 }
 
 // Attach maps an existing (typically pooled) segment into this
@@ -258,7 +273,7 @@ func (m *Memory) Reset() {
 		m.segs[i] = nil
 	}
 	m.segs = m.segs[:0]
-	m.last = nil
+	m.flush()
 }
 
 // Unmap removes the segment at base.
@@ -266,7 +281,7 @@ func (m *Memory) Unmap(base uint32) error {
 	for i, s := range m.segs {
 		if s.Base == base {
 			m.segs = append(m.segs[:i], m.segs[i+1:]...)
-			m.last = nil
+			m.flush()
 			return nil
 		}
 	}
@@ -278,10 +293,6 @@ func (m *Memory) Segments() []*Segment { return m.segs }
 
 // Find returns the segment containing addr, or nil.
 func (m *Memory) Find(addr uint32) *Segment {
-	// Unsigned: an addr below the base wraps past the length.
-	if s := m.last; s != nil && addr-s.Base < uint32(len(s.data)) {
-		return s
-	}
 	// Binary search over sorted bases.
 	lo, hi := 0, len(m.segs)
 	for lo < hi {
@@ -297,7 +308,6 @@ func (m *Memory) Find(addr uint32) *Segment {
 	}
 	s := m.segs[lo-1]
 	if addr < s.End() {
-		m.last = s
 		return s
 	}
 	return nil
@@ -322,6 +332,7 @@ func (m *Memory) Protect(addr, size uint32, perms Perm) error {
 	for i := uint32(0); i < size/PageSize; i++ {
 		s.perms[first+i] = perms
 	}
+	m.flush()
 	return nil
 }
 
@@ -367,79 +378,136 @@ func (m *Memory) check(addr uint32, size int, acc Access) (*Segment, uint32, *Fa
 	return s, addr - s.Base, nil
 }
 
+// hit returns the backing bytes of the page addr lies in if the TLB
+// admits a load (need = Read) or store (need = Write) of size bytes
+// there, else nil.
+func (m *Memory) hit(addr uint32, size int, need Perm) *[PageSize]byte {
+	// One compare tests the page and the alignment: the mask keeps
+	// the page bits and the bits a misaligned address sets.
+	if e := &m.tlb[addr/PageSize%tlbEntries]; addr&(^uint32(PageSize-1)|uint32(size-1)) == e.base && e.perms&need != 0 {
+		return e.data
+	}
+	return nil
+}
+
+// fill checks an access the TLB did not admit, reporting any fault
+// exactly as an uncached access would, and on success caches the page.
+func (m *Memory) fill(addr uint32, size int, need Perm) (*[PageSize]byte, *Fault) {
+	acc := AccLoad
+	if need == Write {
+		acc = AccStore
+	}
+	s, off, f := m.check(addr, size, acc)
+	if f != nil {
+		return nil, f
+	}
+	off &^= PageSize - 1
+	data := (*[PageSize]byte)(s.data[off : off+PageSize])
+	admit := need
+	if need == Write {
+		admit |= s.perms[off/PageSize] & Read
+	}
+	m.tlb[addr/PageSize%tlbEntries] = tlbEntry{base: addr &^ (PageSize - 1), perms: admit, data: data}
+	return data, nil
+}
+
 // LoadU8 loads a byte.
 func (m *Memory) LoadU8(addr uint32) (uint8, *Fault) {
-	s, off, f := m.check(addr, 1, AccLoad)
-	if f != nil {
-		return 0, f
+	p := m.hit(addr, 1, Read)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 1, Read); f != nil {
+			return 0, f
+		}
 	}
-	return s.data[off], nil
+	return p[addr%PageSize], nil
 }
 
 // LoadU16 loads a little-endian halfword.
 func (m *Memory) LoadU16(addr uint32) (uint16, *Fault) {
-	s, off, f := m.check(addr, 2, AccLoad)
-	if f != nil {
-		return 0, f
+	p := m.hit(addr, 2, Read)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 2, Read); f != nil {
+			return 0, f
+		}
 	}
-	return binary.LittleEndian.Uint16(s.data[off:]), nil
+	return binary.LittleEndian.Uint16(p[addr%PageSize:]), nil
 }
 
 // LoadU32 loads a little-endian word.
 func (m *Memory) LoadU32(addr uint32) (uint32, *Fault) {
-	s, off, f := m.check(addr, 4, AccLoad)
-	if f != nil {
-		return 0, f
+	p := m.hit(addr, 4, Read)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 4, Read); f != nil {
+			return 0, f
+		}
 	}
-	return binary.LittleEndian.Uint32(s.data[off:]), nil
+	return binary.LittleEndian.Uint32(p[addr%PageSize:]), nil
 }
 
 // LoadU64 loads a little-endian doubleword.
 func (m *Memory) LoadU64(addr uint32) (uint64, *Fault) {
-	s, off, f := m.check(addr, 8, AccLoad)
-	if f != nil {
-		return 0, f
+	p := m.hit(addr, 8, Read)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 8, Read); f != nil {
+			return 0, f
+		}
 	}
-	return binary.LittleEndian.Uint64(s.data[off:]), nil
+	return binary.LittleEndian.Uint64(p[addr%PageSize:]), nil
 }
 
 // StoreU8 stores a byte.
 func (m *Memory) StoreU8(addr uint32, v uint8) *Fault {
-	s, off, f := m.check(addr, 1, AccStore)
-	if f != nil {
-		return f
+	p := m.hit(addr, 1, Write)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 1, Write); f != nil {
+			return f
+		}
 	}
-	s.data[off] = v
+	p[addr%PageSize] = v
 	return nil
 }
 
 // StoreU16 stores a little-endian halfword.
 func (m *Memory) StoreU16(addr uint32, v uint16) *Fault {
-	s, off, f := m.check(addr, 2, AccStore)
-	if f != nil {
-		return f
+	p := m.hit(addr, 2, Write)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 2, Write); f != nil {
+			return f
+		}
 	}
-	binary.LittleEndian.PutUint16(s.data[off:], v)
+	binary.LittleEndian.PutUint16(p[addr%PageSize:], v)
 	return nil
 }
 
 // StoreU32 stores a little-endian word.
 func (m *Memory) StoreU32(addr uint32, v uint32) *Fault {
-	s, off, f := m.check(addr, 4, AccStore)
-	if f != nil {
-		return f
+	p := m.hit(addr, 4, Write)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 4, Write); f != nil {
+			return f
+		}
 	}
-	binary.LittleEndian.PutUint32(s.data[off:], v)
+	binary.LittleEndian.PutUint32(p[addr%PageSize:], v)
 	return nil
 }
 
 // StoreU64 stores a little-endian doubleword.
 func (m *Memory) StoreU64(addr uint32, v uint64) *Fault {
-	s, off, f := m.check(addr, 8, AccStore)
-	if f != nil {
-		return f
+	p := m.hit(addr, 8, Write)
+	if p == nil {
+		var f *Fault
+		if p, f = m.fill(addr, 8, Write); f != nil {
+			return f
+		}
 	}
-	binary.LittleEndian.PutUint64(s.data[off:], v)
+	binary.LittleEndian.PutUint64(p[addr%PageSize:], v)
 	return nil
 }
 

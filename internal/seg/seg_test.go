@@ -170,22 +170,78 @@ func TestFindBinarySearch(t *testing.T) {
 	}
 }
 
-// Find remembers its last hit; every change to the mapping must drop
-// it, so a lookup never returns a segment that is no longer mapped.
-func TestFindLastHitFollowsMapping(t *testing.T) {
+// tlbEmpty reports whether m's TLB holds no entries.
+func tlbEmpty(m *Memory) bool {
+	for _, e := range m.tlb {
+		if e.perms != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Every change to the mapping or to page permissions must empty the
+// TLB; each case primes it with a load and a store first.
+func TestTLBFlushedByEveryMappingChange(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		change func(m *Memory) error
+	}{
+		{"Map", func(m *Memory) error { _, err := m.Map("b", 0x40000, PageSize, Read); return err }},
+		{"Attach", func(m *Memory) error {
+			p, err := NewPooledSegment("p", 0x50000, PageSize, Read|Write)
+			if err != nil {
+				return err
+			}
+			return m.Attach(p)
+		}},
+		{"Unmap", func(m *Memory) error { return m.Unmap(0x10000) }},
+		{"Reset", func(m *Memory) error { m.Reset(); return nil }},
+		{"Protect", func(m *Memory) error { return m.Protect(0x10000, PageSize, Read) }},
+	} {
+		var m Memory
+		if _, err := m.Map("a", 0x10000, 2*PageSize, Read|Write); err != nil {
+			t.Fatal(err)
+		}
+		if f := m.StoreU32(0x10000, 1); f != nil {
+			t.Fatal(f)
+		}
+		if _, f := m.LoadU32(0x10000 + PageSize); f != nil {
+			t.Fatal(f)
+		}
+		if tlbEmpty(&m) {
+			t.Fatal("checked accesses left the TLB empty")
+		}
+		if err := c.change(&m); err != nil {
+			t.Fatal(err)
+		}
+		if !tlbEmpty(&m) {
+			t.Errorf("%s left TLB entries behind", c.name)
+		}
+	}
+}
+
+func TestTLBFollowsMapping(t *testing.T) {
 	var m Memory
-	a, err := m.Map("a", 0x10000, PageSize, Read|Write)
-	if err != nil {
+	if _, err := m.Map("a", 0x10000, PageSize, Read|Write); err != nil {
 		t.Fatal(err)
 	}
-	if m.Find(0x10004) != a {
-		t.Fatal("Find missed a")
+	if f := m.StoreU32(0x10004, 7); f != nil {
+		t.Fatal(f)
+	}
+	// A store to a page Protect has just made read-only faults, though
+	// the store before it cached the page as writable.
+	if err := m.Protect(0x10000, PageSize, Read); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.StoreU32(0x10004, 8); f == nil || f.Kind != FaultProt {
+		t.Errorf("store to a freshly read-only page: %v, want a protection fault", f)
+	}
+	if v, f := m.LoadU32(0x10004); f != nil || v != 7 {
+		t.Errorf("load after the refused store: %d, %v, want 7", v, f)
 	}
 	if err := m.Unmap(0x10000); err != nil {
 		t.Fatal(err)
-	}
-	if s := m.Find(0x10004); s != nil {
-		t.Errorf("Find after Unmap returned %q", s.Name)
 	}
 	if _, f := m.LoadU32(0x10004); f == nil || f.Kind != FaultUnmapped {
 		t.Errorf("load after Unmap: %v, want an unmapped fault", f)
@@ -218,17 +274,94 @@ func TestFindLastHitFollowsMapping(t *testing.T) {
 		t.Errorf("store to the recycled read-only segment: %v, want a protection fault", f)
 	}
 
-	// Mapping a segment below the last hit shifts the sorted list;
-	// both must still resolve.
-	if m.Find(0x30000) != p {
-		t.Fatal("Find missed p")
+	// Pages tlbEntries pages apart share a TLB entry; each access must
+	// still reach its own page.
+	far := uint32(0x30000 + tlbEntries*PageSize)
+	if _, err := m.Map("far", far, PageSize, Read|Write); err != nil {
+		t.Fatal(err)
 	}
-	b, err := m.Map("b", 0x1000, PageSize, Read)
+	if f := m.StoreU32(far+8, 9); f != nil {
+		t.Fatal(f)
+	}
+	if v, f := m.LoadU32(0x30008); f != nil || v != 0 {
+		t.Errorf("load from p after far's store: %d, %v, want 0", v, f)
+	}
+	if v, f := m.LoadU32(far + 8); f != nil || v != 9 {
+		t.Errorf("load from far: %d, %v, want 9", v, f)
+	}
+}
+
+// A store must leave its page dirty whether or not the TLB already
+// held the page, so Recycle zeroes it; a page cached by a load must not
+// admit a store without a check.
+func TestTLBStoresStayTracked(t *testing.T) {
+	p, err := NewPooledSegment("p", 0x10000, 3*PageSize, Read|Write)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Find(0x1000) != b || m.Find(0x30000) != p {
-		t.Error("Find wrong after mapping below the last hit")
+	var m Memory
+	if err := m.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	// Page 0: a store fills the TLB, a second store hits it.
+	// Page 1: a load fills the TLB, then a store.
+	// Page 2: read-only; a load fills the TLB, then a store must fault.
+	if err := m.Protect(0x10000+2*PageSize, PageSize, Read); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Fault{
+		m.StoreU32(0x10000, 1),
+		m.StoreU32(0x10000+100, 2),
+		func() *Fault { _, f := m.LoadU32(0x10000 + PageSize); return f }(),
+		m.StoreU8(0x10000+PageSize+5, 3),
+		func() *Fault { _, f := m.LoadU32(0x10000 + 2*PageSize); return f }(),
+	} {
+		if f != nil {
+			t.Fatal(f)
+		}
+	}
+	if f := m.StoreU32(0x10000+2*PageSize, 4); f == nil || f.Kind != FaultProt {
+		t.Errorf("store to a read-only page its load cached: %v, want a protection fault", f)
+	}
+	m.Reset()
+	p.Recycle("p", 0x10000, Read|Write)
+	for i, b := range p.Bytes() {
+		if b != 0 {
+			t.Fatalf("byte %#x is %#x after Recycle, want 0", i, b)
+		}
+	}
+}
+
+// Faults the TLB could mask: a misaligned access to a cached page and
+// an access past the end of a cached segment.
+func TestTLBKeepsFaultKinds(t *testing.T) {
+	var m Memory
+	if _, err := m.Map("a", 0x10000, PageSize, Read|Write); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.StoreU64(0x10008, 1); f != nil {
+		t.Fatal(f)
+	}
+	if _, f := m.LoadU64(0x10008); f != nil {
+		t.Fatal(f)
+	}
+	for _, c := range []struct {
+		what string
+		f    *Fault
+		kind FaultKind
+	}{
+		{"unaligned u16 load", func() *Fault { _, f := m.LoadU16(0x10009); return f }(), FaultUnaligned},
+		{"unaligned u32 load", func() *Fault { _, f := m.LoadU32(0x1000a); return f }(), FaultUnaligned},
+		{"unaligned u64 load", func() *Fault { _, f := m.LoadU64(0x1000c); return f }(), FaultUnaligned},
+		{"unaligned u16 store", m.StoreU16(0x10009, 1), FaultUnaligned},
+		{"unaligned u32 store", m.StoreU32(0x1000a, 1), FaultUnaligned},
+		{"unaligned u64 store", m.StoreU64(0x1000c, 1), FaultUnaligned},
+		{"load past the end", func() *Fault { _, f := m.LoadU32(0x10000 + PageSize); return f }(), FaultUnmapped},
+		{"store below the base", m.StoreU32(0x10000-4, 1), FaultUnmapped},
+	} {
+		if c.f == nil || c.f.Kind != c.kind {
+			t.Errorf("%s: %v, want kind %d", c.what, c.f, c.kind)
+		}
 	}
 }
 
