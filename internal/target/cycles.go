@@ -85,11 +85,6 @@ type issueFact struct {
 	bits  uint8
 }
 
-// PredecodeBytesPerInst is the memory one instruction's predecoded
-// issue facts take, for callers that budget the memory of programs
-// they keep.
-const PredecodeBytesPerInst = 8
-
 // issue charges one instruction: stall until its operands are ready,
 // consume an issue slot per the machine's discipline, and record when
 // its result will be available.
@@ -242,37 +237,53 @@ func predecodeInst(in *Inst, c *costModel) issueFact {
 	return f
 }
 
-// issueTable is a program's predecoded issue facts under one cost
-// model, with the identity of the code it was built from.
+// issueTable is a program's predecoded issue facts and regions under
+// one cost model, with the identity of the code it was built from.
 type issueTable struct {
 	code  *Inst
 	n     int
 	cost  costModel
+	delay bool // regions follow the delay-slot machines' transfers
 	facts []issueFact
+	// at maps an instruction index to the region it starts, or -1.
+	at      []int32
+	regions []region
+	slots   []uint8 // every region's live-in and written slots
+	// memo holds memoWays entry pointers per region (region.go).
+	memo []unsafe.Pointer
+	// bytes is what the table holds, counting the memo at its largest.
+	bytes int64
 }
 
-// issueFacts returns p's issue facts on m, one per instruction of
-// p.Code. The table is built on first use and published atomically,
-// so concurrent runs of one program share it; a table built from
-// different code (a copy of the Program with its own Code) or for a
-// different cost model is rebuilt, never reused.
-func (p *Program) issueFacts(m *Machine) []issueFact {
+// predecode returns p's table on m. The table is built on first use
+// and published atomically, so concurrent runs of one program share it
+// and its memo; a table built from different code (a copy of the
+// Program with its own Code) or for a different cost model or
+// delay-slot discipline is rebuilt, never reused.
+func (p *Program) predecode(m *Machine) *issueTable {
 	c := costModelOf(m)
 	var code *Inst
 	if len(p.Code) > 0 {
 		code = &p.Code[0]
 	}
 	t := (*issueTable)(atomic.LoadPointer(&p.issue))
-	if t != nil && t.code == code && t.n == len(p.Code) && t.cost == c {
-		return t.facts
+	if t != nil && t.code == code && t.n == len(p.Code) && t.cost == c && t.delay == m.HasDelaySlot {
+		return t
 	}
-	t = &issueTable{code: code, n: len(p.Code), cost: c, facts: make([]issueFact, len(p.Code))}
+	t = &issueTable{code: code, n: len(p.Code), cost: c, delay: m.HasDelaySlot, facts: make([]issueFact, len(p.Code))}
 	for i := range p.Code {
 		t.facts[i] = predecodeInst(&p.Code[i], &c)
 	}
+	buildRegions(t, p)
 	atomic.StorePointer(&p.issue, unsafe.Pointer(t))
-	return t.facts
+	return t
 }
+
+// Predecode builds p's tables for m ahead of its first run (Run builds
+// them on demand otherwise) and returns the bytes they hold, counting
+// the pipeline-cost memo at its largest, for callers that budget the
+// memory of programs they keep.
+func (p *Program) Predecode(m *Machine) int64 { return p.predecode(m).bytes }
 
 // pentiumPairable: the simple one-cycle integer instructions.
 func pentiumPairable(op Op) bool {

@@ -82,6 +82,11 @@ type Sim struct {
 	insts    uint64
 	nextPoll uint64 // insts threshold for the next Interrupt check
 	counts   [NumCats]uint64
+	// cats holds the category counts of the regions run since insts
+	// was catFlush, packed like region.cats; flushCats moves them into
+	// counts.
+	cats     uint64
+	catFlush uint64
 	pipe     pipe
 }
 
@@ -190,6 +195,7 @@ func (s *Sim) setF(r Reg, v float64) {
 }
 
 func (s *Sim) result(exit int32, faulted bool, fault string) Result {
+	s.flushCats()
 	return Result{
 		ExitCode: exit,
 		Insts:    s.insts,
@@ -231,11 +237,29 @@ func (s *Sim) account(in *Inst, f *issueFact) {
 	s.pipe.issue(f)
 }
 
+// accountRange charges the instructions from..to-1 one at a time: an
+// instruction stepped outside a region, or the issued prefix of a
+// region an exception cut short.
+func (s *Sim) accountRange(from, to int32, facts []issueFact) {
+	code := s.Prog.Code
+	for pc := from; pc < to; pc++ {
+		s.account(&code[pc], &facts[pc])
+	}
+}
+
+// flushCats moves the packed region category counts into counts.
+func (s *Sim) flushCats() {
+	for c := range s.counts {
+		s.counts[c] += s.cats >> (catBits * c) & catWindow
+	}
+	s.cats, s.catFlush = 0, s.insts
+}
+
 // stop returns the instruction count at which Run next has to look at
-// the budget or poll Interrupt.
+// the budget, poll Interrupt, or flush the packed category counts.
 func (s *Sim) stop() uint64 {
-	stop := uint64(math.MaxUint64)
-	if s.MaxInsts > 0 {
+	stop := s.catFlush + catWindow
+	if s.MaxInsts > 0 && s.MaxInsts < stop {
 		stop = s.MaxInsts
 	}
 	if s.Interrupt != nil && s.nextPoll < stop {
@@ -245,10 +269,12 @@ func (s *Sim) stop() uint64 {
 }
 
 // threshold handles Run reaching its stop count: the budget is
-// exhausted, or it is time to poll Interrupt. It is a threshold (not
-// an exact match) because delay-slot machines account two instructions
-// per branch iteration and can step over the exact count.
+// exhausted, or it is time to poll Interrupt, or to flush the category
+// counts. It is a threshold (not an exact match) because delay-slot
+// machines account two instructions per branch iteration and can step
+// over the exact count.
 func (s *Sim) threshold() error {
+	s.flushCats()
 	if s.MaxInsts > 0 && s.insts >= s.MaxInsts {
 		return fmt.Errorf("target/%s: %w (%d) at pc=%d", s.M.Name, hostapi.ErrBudget, s.MaxInsts, s.pc)
 	}
@@ -261,11 +287,22 @@ func (s *Sim) threshold() error {
 	return nil
 }
 
+// trap is an exception an instruction raised, for Run to deliver;
+// kind 0 is none.
+type trap struct {
+	kind, addr uint32
+	src        int32 // the raising instruction's OmniVM index
+	desc       string
+}
+
 // Run executes until halt, exit, an unhandled exception, or the
-// instruction budget.
+// instruction budget. It runs a region at a time (runRegions) wherever
+// execution is at a region's first instruction and the region ends
+// before the next budget or poll stop, and steps one instruction at a
+// time elsewhere; both paths execute control transfers with transfer.
 func (s *Sim) Run() (Result, error) {
-	code := s.Prog.Code
-	facts := s.Prog.issueFacts(s.M)
+	t := s.Prog.predecode(s.M)
+	code, facts := s.Prog.Code, t.facts
 	n := int32(len(code))
 	stop := s.stop()
 	for {
@@ -275,72 +312,65 @@ func (s *Sim) Run() (Result, error) {
 			}
 			stop = s.stop()
 		}
-		if s.pc < 0 || s.pc >= n {
-			if res, done := s.exception(excBadJump, uint32(s.pc), s.pc, fmt.Sprintf("target/%s: pc %d out of code", s.M.Name, s.pc)); done {
+		pc := s.pc
+		if pc < 0 || pc >= n {
+			if res, done := s.exception(excBadJump, uint32(pc), pc, fmt.Sprintf("target/%s: pc %d out of code", s.M.Name, pc)); done {
 				return res, nil
 			}
 			continue
 		}
-		in := &code[s.pc]
-		f := &facts[s.pc]
-
-		// Control transfers (with delay-slot execution on the
-		// delay-slot machines); everything else is a simple step.
-		if f.bits&factCtl != 0 {
-			s.account(in, f)
-			taken, tgt, kind, addr := s.resolve(in)
-			if kind != 0 {
-				if res, done := s.exception(kind, addr, in.Src, fmt.Sprintf("target/%s: bad indirect target %#x", s.M.Name, addr)); done {
-					return res, nil
+		if ri := t.at[pc]; ri >= 0 {
+			if r := &t.regions[ri]; s.insts+uint64(r.end-r.start) > stop {
+				// Flushing may lift the stop; a budget or poll stop
+				// inside the region leaves it to single steps.
+				s.flushCats()
+				stop = s.stop()
+			}
+			if r := &t.regions[ri]; s.insts+uint64(r.end-r.start) <= stop {
+				if tr := s.runRegions(t, stop); tr.kind != 0 {
+					if res, done := s.exception(tr.kind, tr.addr, tr.src, tr.desc); done {
+						return res, nil
+					}
 				}
 				continue
 			}
-			next := s.pc + 1
-			if s.M.HasDelaySlot {
-				next = s.pc + 2
-				if s.pc+1 < n {
-					slot, sf := &code[s.pc+1], &facts[s.pc+1]
-					if sf.bits&factCtl != 0 || slot.Op == Syscall {
-						return Result{}, fmt.Errorf("target/%s: control transfer in delay slot at %d", s.M.Name, s.pc+1)
-					}
-					s.account(slot, sf)
-					if kind, addr, fault := s.step(slot); fault {
-						if res, done := s.exception(kind, addr, slot.Src, fmt.Sprintf("target/%s: fault in delay slot at %d", s.M.Name, s.pc+1)); done {
-							return res, nil
-						}
-						continue
-					}
+		}
+
+		in := &code[pc]
+		f := &facts[pc]
+		if f.bits&factCtl != 0 {
+			issued, tr, err := s.transfer(facts)
+			s.accountRange(pc, pc+issued, facts)
+			if err != nil {
+				return Result{}, err
+			}
+			if tr.kind != 0 {
+				if res, done := s.exception(tr.kind, tr.addr, tr.src, tr.desc); done {
+					return res, nil
 				}
 			}
-			if taken {
-				next = tgt
-			}
-			s.pc = next
 			continue
 		}
 
+		s.account(in, f)
 		switch in.Op {
 		case Syscall:
-			s.account(in, f)
 			if err := s.Env.Syscall(in.Imm, s); err != nil {
-				return Result{}, fmt.Errorf("target/%s: pc=%d: %w", s.M.Name, s.pc, err)
+				return Result{}, fmt.Errorf("target/%s: pc=%d: %w", s.M.Name, pc, err)
 			}
 			if s.Env.Exited {
 				return s.result(s.Env.ExitCode, false, ""), nil
 			}
 			s.pc++
 		case Break:
-			s.account(in, f)
-			if res, done := s.exception(excBreak, uint32(s.pc), in.Src, fmt.Sprintf("target/%s: breakpoint at %d", s.M.Name, s.pc)); done {
+			if res, done := s.exception(excBreak, uint32(pc), in.Src, fmt.Sprintf("target/%s: breakpoint at %d", s.M.Name, pc)); done {
 				return res, nil
 			}
 		case Halt:
-			s.account(in, f)
 			return s.result(int32(s.IntReg(1)), false, ""), nil
 		default:
-			s.account(in, f)
 			if kind, addr, fault := s.step(in); fault {
-				if res, done := s.exception(kind, addr, in.Src, fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", s.M.Name, addr, s.pc)); done {
+				if res, done := s.exception(kind, addr, in.Src, s.memFault(addr, pc)); done {
 					return res, nil
 				}
 				continue
@@ -348,6 +378,91 @@ func (s *Sim) Run() (Result, error) {
 			s.pc++
 		}
 	}
+}
+
+// runRegions runs regions back to back from s.pc, the first
+// instruction of one, while each ends at or before stop. It returns
+// when execution reaches an instruction no region starts at, a region
+// that would pass stop, or an exception, which it returns undelivered
+// after charging the instructions issued before it one at a time.
+func (s *Sim) runRegions(t *issueTable, stop uint64) trap {
+	code := s.Prog.Code
+	for {
+		pc := s.pc
+		if pc < 0 || int(pc) >= len(t.at) {
+			return trap{}
+		}
+		ri := t.at[pc]
+		if ri < 0 {
+			return trap{}
+		}
+		r := &t.regions[ri]
+		if s.insts+uint64(r.end-r.start) > stop {
+			return trap{}
+		}
+		body := r.end
+		if r.ctl >= 0 {
+			body = r.ctl
+		}
+		for pc := r.start; pc < body; pc++ {
+			if kind, addr, fault := s.step(&code[pc]); fault {
+				s.accountRange(r.start, pc+1, t.facts)
+				return trap{kind, addr, code[pc].Src, s.memFault(addr, pc)}
+			}
+		}
+		if r.ctl >= 0 {
+			s.pc = r.ctl
+			if issued, tr, _ := s.transfer(t.facts); tr.kind != 0 {
+				s.accountRange(r.start, r.ctl+issued, t.facts)
+				return tr
+			}
+		} else {
+			s.pc = r.end
+		}
+		s.insts += uint64(r.end - r.start)
+		s.cats += r.cats
+		s.charge(t, ri, r)
+	}
+}
+
+func (s *Sim) memFault(addr uint32, pc int32) string {
+	return fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", s.M.Name, addr, pc)
+}
+
+// transfer executes the control transfer at s.pc and, on the
+// delay-slot machines, the instruction in its slot, and moves s.pc to
+// the instruction execution continues at. issued is how many
+// instructions executed; if one of them raised an exception, the
+// trap describes it and s.pc is left at the transfer. A transfer or
+// syscall in a delay slot is an error (no region contains one).
+func (s *Sim) transfer(facts []issueFact) (issued int32, tr trap, err error) {
+	code := s.Prog.Code
+	pc := s.pc
+	in := &code[pc]
+	taken, tgt, kind, addr := s.resolve(in)
+	if kind != 0 {
+		return 1, trap{kind, addr, in.Src, fmt.Sprintf("target/%s: bad indirect target %#x", s.M.Name, addr)}, nil
+	}
+	next := pc + 1
+	issued = 1
+	if s.M.HasDelaySlot {
+		next = pc + 2
+		if int(pc+1) < len(code) {
+			slot := &code[pc+1]
+			if facts[pc+1].bits&factCtl != 0 || slot.Op == Syscall {
+				return 1, trap{}, fmt.Errorf("target/%s: control transfer in delay slot at %d", s.M.Name, pc+1)
+			}
+			issued = 2
+			if kind, addr, fault := s.step(slot); fault {
+				return 2, trap{kind, addr, slot.Src, fmt.Sprintf("target/%s: fault in delay slot at %d", s.M.Name, pc+1)}, nil
+			}
+		}
+	}
+	if taken {
+		next = tgt
+	}
+	s.pc = next
+	return issued, trap{}, nil
 }
 
 // resolve evaluates a branch or jump: whether it is taken, its target

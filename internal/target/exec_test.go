@@ -242,8 +242,27 @@ func TestProgramRunsConcurrently(t *testing.T) {
 	}
 }
 
+// The predecoded table keeps each instruction's issue facts in 8
+// bytes, and Predecode reports every byte the table's slices hold plus
+// a full memo.
 func TestPredecodeEntrySize(t *testing.T) {
-	if got := reflect.TypeOf(issueFact{}).Size(); got != PredecodeBytesPerInst {
-		t.Errorf("issueFact is %d bytes, PredecodeBytesPerInst says %d", got, PredecodeBytesPerInst)
+	if got := reflect.TypeOf(issueFact{}).Size(); got != 8 {
+		t.Errorf("issueFact is %d bytes, want 8", got)
+	}
+	for _, m := range Machines() {
+		p := storeLoop(m)
+		got := p.Predecode(m)
+		tb := p.predecode(m)
+		want := int64(cap(tb.facts))*8 + int64(cap(tb.at))*4 +
+			int64(cap(tb.regions))*int64(reflect.TypeOf(region{}).Size()) +
+			int64(cap(tb.slots)) + int64(cap(tb.memo))*8
+		for _, r := range tb.regions {
+			if r.nin != noMemo {
+				want += memoWays * ((8*(memoHeader+int64(r.nout)) + 15) &^ 15)
+			}
+		}
+		if got != want {
+			t.Errorf("%s: Predecode reports %d bytes, the table holds %d", m.Name, got, want)
+		}
 	}
 }

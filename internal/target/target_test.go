@@ -123,7 +123,7 @@ func TestRegSaveLayout(t *testing.T) {
 func charge(m *Machine, insts []Inst) uint64 {
 	var p pipe
 	p.init(m)
-	facts := (&Program{Arch: m.Arch, Code: insts}).issueFacts(m)
+	facts := (&Program{Arch: m.Arch, Code: insts}).predecode(m).facts
 	for i := range facts {
 		p.issue(&facts[i])
 	}
