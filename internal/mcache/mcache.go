@@ -84,12 +84,6 @@ func (v VerifyMode) String() string {
 	}
 }
 
-// instCost is the in-memory size of one instruction of a cached
-// program for the eviction budget: the target.Inst itself plus the
-// issue facts its first run predecodes, which live as long as the
-// program does.
-const instCost = int64(unsafe.Sizeof(target.Inst{})) + target.PredecodeBytesPerInst
-
 // Stats is a snapshot of the cache counters. Misses equals the number
 // of translations the cache performed; Hits counts entries served from
 // memory ready-made; DiskHits counts entries re-admitted from the
@@ -300,8 +294,12 @@ func NewWith(cfg Config) *Cache {
 	return c
 }
 
-func progSize(p *target.Program) int64 {
-	return int64(len(p.Code))*instCost + int64(len(p.OmniToNative))*4
+// progSize is what a cached program holds in memory for the eviction
+// budget: its code, its index map, and the predecoded tables (with the
+// pipeline-cost memo at its largest) that live as long as it does.
+// admit has built the tables already, so this only reads their size.
+func progSize(p *target.Program, mach *target.Machine) int64 {
+	return int64(len(p.Code))*int64(unsafe.Sizeof(target.Inst{})) + int64(len(p.OmniToNative))*4 + p.Predecode(mach)
 }
 
 // Translate returns the native program for (mod, mach, si, opt),
@@ -404,11 +402,15 @@ func (c *Cache) translateTraced(sp *trace.Span, mod *ovm.Module, mach *target.Ma
 		f.prog = nil
 	}
 
+	var size int64
+	if err == nil {
+		size = progSize(prog, mach)
+	}
 	sh.mu.Lock()
 	delete(sh.inflight, k)
 	var keep *entry
 	if err == nil {
-		keep = c.insertLocked(sh, k, prog)
+		keep = c.insertLocked(sh, k, prog, size)
 	}
 	sh.mu.Unlock()
 	if keep != nil {
@@ -483,9 +485,10 @@ func (c *Cache) Insert(mod *ovm.Module, mach *target.Machine, si translate.SegIn
 		return err
 	}
 	k := key(ModuleHash(mod), mach, si, opt)
+	size := progSize(prog, mach)
 	sh := c.shardFor(k)
 	sh.mu.Lock()
-	keep := c.insertLocked(sh, k, prog)
+	keep := c.insertLocked(sh, k, prog, size)
 	sh.mu.Unlock()
 	c.evict(keep)
 	c.writeThrough(nil, k, prog)
@@ -523,6 +526,9 @@ func (c *Cache) admit(sp *trace.Span, prog *target.Program, mach *target.Machine
 		c.ctr.rejected.Add(1)
 		return fmt.Errorf("mcache: admission rejected: %w", err)
 	}
+	// Build the simulator's tables now, off the first run's path, so
+	// the entry's size counts them.
+	prog.Predecode(mach)
 	return nil
 }
 
@@ -537,14 +543,14 @@ func verdict(err error) string {
 // returns it so the caller can run eviction with the fresh entry
 // protected. A raced duplicate keeps the incumbent (identical by
 // construction) and refreshes its recency.
-func (c *Cache) insertLocked(sh *shard, k string, prog *target.Program) *entry {
+func (c *Cache) insertLocked(sh *shard, k string, prog *target.Program, size int64) *entry {
 	if el, ok := sh.byKey[k]; ok {
 		sh.lru.MoveToFront(el)
 		e := el.Value.(*entry)
 		e.stamp = c.clock.Add(1)
 		return e
 	}
-	e := &entry{key: k, prog: prog, size: progSize(prog), stamp: c.clock.Add(1)}
+	e := &entry{key: k, prog: prog, size: size, stamp: c.clock.Add(1)}
 	sh.byKey[k] = sh.lru.PushFront(e)
 	c.bytes.Add(e.size)
 	c.ctr.inserts.Add(1)

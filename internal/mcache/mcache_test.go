@@ -124,12 +124,15 @@ func TestUnsandboxedRefused(t *testing.T) {
 	}
 }
 
-// instBytes is what one cached instruction occupies: the instruction
-// and its predecoded issue facts.
-const instBytes = int64(unsafe.Sizeof(target.Inst{})) + target.PredecodeBytesPerInst
+// progBytes is what a cached program holds: its instructions, its
+// index map and its predecoded tables for m.
+func progBytes(p *target.Program, m *target.Machine) int64 {
+	return int64(len(p.Code))*int64(unsafe.Sizeof(target.Inst{})) + int64(len(p.OmniToNative))*4 + p.Predecode(m)
+}
 
-// The byte budget must count what a cached program really holds once
-// it has run: its code, its predecoded issue table and its index map.
+// The byte budget must count what a cached program really holds: its
+// code, its index map and the predecoded tables admission builds, the
+// same before its first run and after.
 func TestCodeBytesCountPredecodedTable(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.X86Machine()
@@ -140,6 +143,15 @@ func TestCodeBytesCountPredecodedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables := prog.Predecode(m)
+	want := int64(len(prog.Code))*int64(unsafe.Sizeof(target.Inst{})) + int64(len(prog.OmniToNative))*4 + tables
+	if got := c.Stats().CodeBytes; got != want {
+		t.Errorf("CodeBytes = %d, want %d (%d instructions, %d index entries, %d table bytes)",
+			got, want, len(prog.Code), len(prog.OmniToNative), tables)
+	}
+	if tables < int64(len(prog.Code))*8 {
+		t.Errorf("predecoded tables of %d instructions counted as %d bytes, less than their issue facts", len(prog.Code), tables)
+	}
 	h, err := core.NewHost(mod, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +159,8 @@ func TestCodeBytesCountPredecodedTable(t *testing.T) {
 	if _, err := h.RunProgram(m, prog); err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(prog.Code))*instBytes + int64(len(prog.OmniToNative))*4
 	if got := c.Stats().CodeBytes; got != want {
-		t.Errorf("CodeBytes = %d, want %d (%d instructions of %d bytes + %d index entries)",
-			got, want, len(prog.Code), instBytes, len(prog.OmniToNative))
+		t.Errorf("CodeBytes after a run = %d, want %d", got, want)
 	}
 }
 
@@ -172,7 +182,7 @@ func TestLRUEvictionByCodeSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, int64(len(p.Code))*instBytes)
+		sizes = append(sizes, progBytes(p, m))
 	}
 	// Budget for roughly two of the three programs.
 	limit := sizes[0] + sizes[1] + sizes[2] - sizes[0]/2

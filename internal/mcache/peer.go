@@ -229,9 +229,10 @@ func (c *Cache) AdmitKeyed(k string, prog *target.Program, retranslate func() (*
 			return err
 		}
 	}
+	size := progSize(prog, mach)
 	sh := c.shardFor(k)
 	sh.mu.Lock()
-	keep := c.insertLocked(sh, k, prog)
+	keep := c.insertLocked(sh, k, prog, size)
 	sh.mu.Unlock()
 	c.evict(keep)
 	if c.disk == nil || !c.disk.Has(k) {
