@@ -320,13 +320,14 @@ func (s *Sim) Run() (Result, error) {
 			continue
 		}
 		if ri := t.at[pc]; ri >= 0 {
-			if r := &t.regions[ri]; s.insts+uint64(r.end-r.start) > stop {
+			r := &t.regions[ri]
+			if s.insts+uint64(r.end-r.start) > stop {
 				// Flushing may lift the stop; a budget or poll stop
 				// inside the region leaves it to single steps.
 				s.flushCats()
 				stop = s.stop()
 			}
-			if r := &t.regions[ri]; s.insts+uint64(r.end-r.start) <= stop {
+			if s.insts+uint64(r.end-r.start) <= stop {
 				if tr := s.runRegions(t, stop); tr.kind != 0 {
 					if res, done := s.exception(tr.kind, tr.addr, tr.src, tr.desc); done {
 						return res, nil
@@ -412,6 +413,7 @@ func (s *Sim) runRegions(t *issueTable, stop uint64) trap {
 		}
 		if r.ctl >= 0 {
 			s.pc = r.ctl
+			// No region holds a malformed delay slot, the one error.
 			if issued, tr, _ := s.transfer(t.facts); tr.kind != 0 {
 				s.accountRange(r.start, r.ctl+issued, t.facts)
 				return tr
@@ -425,6 +427,7 @@ func (s *Sim) runRegions(t *issueTable, stop uint64) trap {
 	}
 }
 
+// memFault describes a memory access or division that faulted at pc.
 func (s *Sim) memFault(addr uint32, pc int32) string {
 	return fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", s.M.Name, addr, pc)
 }

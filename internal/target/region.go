@@ -113,6 +113,11 @@ func buildRegions(t *issueTable, p *Program) {
 	// is one of its live-ins, wrote[s] == id once it writes s.
 	var seen, wrote [numSlots]int32
 	var outBuf [numSlots]uint8
+	leaders := 0
+	for _, v := range at {
+		leaders += int(v)
+	}
+	t.regions = make([]region, 0, leaders+int(n)/maxRegion)
 	for i := int32(0); i < n; i++ {
 		if at[i] != 1 {
 			at[i] = -1
