@@ -82,11 +82,6 @@ type Sim struct {
 	insts    uint64
 	nextPoll uint64 // insts threshold for the next Interrupt check
 	counts   [NumCats]uint64
-	// cats holds the category counts of the regions run since insts
-	// was catFlush, packed like region.cats; flushCats moves them into
-	// counts.
-	cats     uint64
-	catFlush uint64
 	pipe     pipe
 }
 
@@ -195,7 +190,6 @@ func (s *Sim) setF(r Reg, v float64) {
 }
 
 func (s *Sim) result(exit int32, faulted bool, fault string) Result {
-	s.flushCats()
 	return Result{
 		ExitCode: exit,
 		Insts:    s.insts,
@@ -247,19 +241,11 @@ func (s *Sim) accountRange(from, to int32, facts []issueFact) {
 	}
 }
 
-// flushCats moves the packed region category counts into counts.
-func (s *Sim) flushCats() {
-	for c := range s.counts {
-		s.counts[c] += s.cats >> (catBits * c) & catWindow
-	}
-	s.cats, s.catFlush = 0, s.insts
-}
-
 // stop returns the instruction count at which Run next has to look at
-// the budget, poll Interrupt, or flush the packed category counts.
+// the budget or poll Interrupt.
 func (s *Sim) stop() uint64 {
-	stop := s.catFlush + catWindow
-	if s.MaxInsts > 0 && s.MaxInsts < stop {
+	stop := uint64(math.MaxUint64)
+	if s.MaxInsts > 0 {
 		stop = s.MaxInsts
 	}
 	if s.Interrupt != nil && s.nextPoll < stop {
@@ -269,12 +255,10 @@ func (s *Sim) stop() uint64 {
 }
 
 // threshold handles Run reaching its stop count: the budget is
-// exhausted, or it is time to poll Interrupt, or to flush the category
-// counts. It is a threshold (not an exact match) because delay-slot
-// machines account two instructions per branch iteration and can step
-// over the exact count.
+// exhausted, or it is time to poll Interrupt. It is a threshold (not
+// an exact match) because delay-slot machines account two instructions
+// per branch iteration and can step over the exact count.
 func (s *Sim) threshold() error {
-	s.flushCats()
 	if s.MaxInsts > 0 && s.insts >= s.MaxInsts {
 		return fmt.Errorf("target/%s: %w (%d) at pc=%d", s.M.Name, hostapi.ErrBudget, s.MaxInsts, s.pc)
 	}
@@ -320,14 +304,9 @@ func (s *Sim) Run() (Result, error) {
 			continue
 		}
 		if ri := t.at[pc]; ri >= 0 {
-			r := &t.regions[ri]
-			if s.insts+uint64(r.end-r.start) > stop {
-				// Flushing may lift the stop; a budget or poll stop
-				// inside the region leaves it to single steps.
-				s.flushCats()
-				stop = s.stop()
-			}
-			if s.insts+uint64(r.end-r.start) <= stop {
+			// A budget or poll stop inside the region leaves it to
+			// single steps.
+			if r := &t.regions[ri]; s.insts+uint64(r.end-r.start) <= stop {
 				if tr := s.runRegions(t, stop); tr.kind != 0 {
 					if res, done := s.exception(tr.kind, tr.addr, tr.src, tr.desc); done {
 						return res, nil
@@ -422,7 +401,9 @@ func (s *Sim) runRegions(t *issueTable, stop uint64) trap {
 			s.pc = r.end
 		}
 		s.insts += uint64(r.end - r.start)
-		s.cats += r.cats
+		for c, k := range r.cats {
+			s.counts[c] += uint64(k)
+		}
 		s.charge(t, ri, r)
 	}
 }

@@ -25,7 +25,7 @@ import (
 
 const (
 	// maxRegion bounds a region's length, so its category counts fit
-	// catBits-bit lanes.
+	// in bytes.
 	maxRegion = 255
 	// maxLiveIn is how many live-in slots a memo key packs beside the
 	// issue slot; a region with more is charged one instruction at a
@@ -34,20 +34,16 @@ const (
 	noMemo    = 0xff // region.nin of such a region
 	// memoWays is how many entry states each region remembers.
 	memoWays = 4
-	// catBits is the width of one category's lane in packed counts;
-	// Sim.cats is flushed before any lane can pass catWindow.
-	catBits   = 10
-	catWindow = 1<<catBits - 1
 )
 
 // region describes one straight-line run of a program's code.
 type region struct {
-	cats  uint64 // executed instructions per category, catBits bits each
-	start int32  // first instruction
-	ctl   int32  // the ending control transfer, or -1
-	end   int32  // one past the last instruction (the delay slot, if any)
-	slots uint32 // offset in issueTable.slots of nin live-ins, then nout written slots
-	nin   uint8  // noMemo: the region is never memoized
+	cats  [NumCats]uint8 // executed instructions per category
+	start int32          // first instruction
+	ctl   int32          // the ending control transfer, or -1
+	end   int32          // one past the last instruction (the delay slot, if any)
+	slots uint32         // offset in issueTable.slots of nin live-ins, then nout written slots
+	nin   uint8          // noMemo: the region is never memoized
 	nout  uint8
 }
 
@@ -147,7 +143,7 @@ func buildRegions(t *issueTable, p *Program) {
 		r.slots = uint32(len(t.slots))
 		outs := outBuf[:0]
 		for k := r.start; k < r.end; k++ {
-			r.cats += 1 << (catBits * uint(code[k].Cat))
+			r.cats[code[k].Cat]++
 			f := &facts[k]
 			reads := [4]uint8{f.src[0], f.src[1], f.src[2], noSlot}
 			if f.bits&factAGI != 0 {
