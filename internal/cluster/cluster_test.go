@@ -278,15 +278,15 @@ func TestAdversarialPeers(t *testing.T) {
 				if !hasSandboxMask(prog, m) {
 					t.Error("served program lacks the sandboxing mask")
 				}
-				st := c.Stats()
-				if st.PeerHits != 0 {
-					t.Errorf("peer hits = %d, want 0", st.PeerHits)
+				st := c.Counters()
+				if n := st.Load(metrics.CachePeerHits); n != 0 {
+					t.Errorf("peer hits = %d, want 0", n)
 				}
-				if st.Misses != 1 {
-					t.Errorf("misses = %d, want 1 (local retranslation)", st.Misses)
+				if n := st.Load(metrics.CacheMisses); n != 1 {
+					t.Errorf("misses = %d, want 1 (local retranslation)", n)
 				}
-				if tc.cacheQuarantine && st.PeerQuarantines != 1 {
-					t.Errorf("cache peer quarantines = %d, want 1", st.PeerQuarantines)
+				if n := st.Load(metrics.CachePeerQuarantines); tc.cacheQuarantine && n != 1 {
+					t.Errorf("cache peer quarantines = %d, want 1", n)
 				}
 				snap := peers.Snapshot()
 				if len(snap.Peers) != 1 || snap.Peers[0].Peer != evil.URL {

@@ -319,13 +319,23 @@ func Run(cfg Config) (*Report, error) {
 	}
 	// The main server delta starts after the uploads and prewarm so
 	// translations/stage quantiles describe the serving phase only —
-	// but the admission audit runs at upload time, inside that
-	// excluded window. Graft the audit section (counters and the
-	// audit stage) from a whole-run delta instead.
+	// but the admission audit runs at upload time, and a program's
+	// first translation (where a verifier rejection or disagreement
+	// shows) at prewarm, inside that excluded window. Graft the audit
+	// section (counters and the audit stage) and the correctness
+	// counters from a whole-run delta instead.
 	ad := Delta(*setup, *after)
 	r.Server.AuditPass = ad.AuditPass
 	r.Server.AuditWarns = ad.AuditWarns
 	r.Server.AuditRejects = ad.AuditRejects
+	r.Server.CacheAudits = ad.CacheAudits
+	r.Server.CacheAuditHits = ad.CacheAuditHits
+	r.Server.CacheAuditDiskWrites = ad.CacheAuditDiskWrites
+	r.Server.CacheAuditQuarantines = ad.CacheAuditQuarantines
+	r.Server.CacheRejected = ad.CacheRejected
+	r.Server.CacheDisagreements = ad.CacheDisagreements
+	r.Server.CacheDiskQuarantines = ad.CacheDiskQuarantines
+	r.Server.CacheSpotCheckFails = ad.CacheSpotCheckFails
 	if st, ok := ad.Stages["audit"]; ok {
 		r.Server.Stages["audit"] = st
 	}

@@ -2,11 +2,13 @@ package load_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"omniware/internal/load"
+	"omniware/internal/serve/metrics"
 )
 
 func TestScheduleDeterministicAndWeighted(t *testing.T) {
@@ -192,6 +194,87 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad.Load.Latency = load.LatencyStats{P50Us: 5, P95Us: 3, P99Us: 4}
 	if err := load.Validate(&bad); err == nil {
 		t.Fatal("non-monotone quantiles accepted")
+	}
+	// Any nonzero correctness counter fails the report.
+	for name, set := range map[string]func(*load.ServerDelta){
+		"cache_rejected":         func(d *load.ServerDelta) { d.CacheRejected = 1 },
+		"cache_disagreements":    func(d *load.ServerDelta) { d.CacheDisagreements = 1 },
+		"cache_disk_quarantines": func(d *load.ServerDelta) { d.CacheDiskQuarantines = 1 },
+		"cache_spot_check_fails": func(d *load.ServerDelta) { d.CacheSpotCheckFails = 1 },
+	} {
+		bad = *good
+		set(&bad.Server)
+		if err := load.Validate(&bad); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("nonzero %s accepted (err %v)", name, err)
+		}
+	}
+}
+
+// Delta carries every metrics.Table metric under its JSON name:
+// counters and reason families as the run's interval (families with
+// nonzero reasons only), gauges at their level after the run.
+func TestDeltaWalksRegistry(t *testing.T) {
+	snap := func(scale uint64) metrics.Snapshot {
+		vals := map[string]any{}
+		for id := range metrics.Table {
+			m := &metrics.Table[id]
+			v := scale * uint64(10*(id+1))
+			if m.Reasons == nil {
+				vals[m.Name] = v
+				continue
+			}
+			split := map[string]uint64{}
+			for r, reason := range m.Reasons {
+				split[reason] = 0
+				if r > 0 {
+					split[reason] = v + uint64(r)*scale
+				}
+			}
+			vals[m.Name] = split
+		}
+		blob, err := json.Marshal(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s metrics.Snapshot
+		if err := json.Unmarshal(blob, &s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	blob, err := json.Marshal(load.Delta(snap(1), snap(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	for id := range metrics.Table {
+		m := &metrics.Table[id]
+		v := uint64(10 * (id + 1))
+		if m.Reasons == nil {
+			want := 2 * v
+			if m.Gauge {
+				want = 3 * v
+			}
+			if string(got[m.Name]) != fmt.Sprint(want) {
+				t.Errorf("%s: delta %s, want %d", m.Name, got[m.Name], want)
+			}
+			continue
+		}
+		var split map[string]uint64
+		if err := json.Unmarshal(got[m.Name], &split); err != nil {
+			t.Fatalf("%s: delta %s: %v", m.Name, got[m.Name], err)
+		}
+		if len(split) != len(m.Reasons)-1 {
+			t.Errorf("%s: delta %v, want the nonzero reasons only", m.Name, split)
+		}
+		for r, reason := range m.Reasons[1:] {
+			if want := 2 * (v + uint64(r+1)); split[reason] != want {
+				t.Errorf("%s[%s]: delta %d, want %d", m.Name, reason, split[reason], want)
+			}
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ package load
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -126,7 +127,8 @@ type StageDelta struct {
 
 // ServerDelta is the server-side view of the run: /v1/metrics sampled
 // before and after, counters subtracted, stage histograms subtracted
-// bucket-wise so the quantiles are the run's own.
+// bucket-wise so the quantiles are the run's own. It carries every
+// metrics.Table metric under its JSON name; Delta fills them by name.
 type ServerDelta struct {
 	JobsSubmitted   uint64 `json:"jobs_submitted"`
 	JobsRun         uint64 `json:"jobs_run"`
@@ -136,6 +138,7 @@ type ServerDelta struct {
 	Translations    uint64 `json:"translations"`
 	SimInsts        uint64 `json:"sim_insts"`
 	SimCycles       uint64 `json:"sim_cycles"`
+	QueueDepth      uint64 `json:"queue_depth,omitempty"` // gauge: the level after the run
 
 	CacheHits      uint64  `json:"cache_hits"`
 	CacheCoalesced uint64  `json:"cache_coalesced"`
@@ -143,10 +146,23 @@ type ServerDelta struct {
 	CacheDiskHits  uint64  `json:"cache_disk_hits"`
 	HitRate        float64 `json:"hit_rate"`
 
+	CacheEvictions  uint64 `json:"cache_evictions,omitempty"`
+	CacheEntries    uint64 `json:"cache_entries,omitempty"` // gauge: the level after the run
+	CacheBytes      uint64 `json:"cache_bytes,omitempty"`   // gauge: the level after the run
+	CacheDiskWrites uint64 `json:"cache_disk_writes,omitempty"`
+
+	// Correctness counters: each nonzero value is a verifier or
+	// integrity failure, and Validate refuses the report.
+	CacheRejected        uint64 `json:"cache_rejected,omitempty"`
+	CacheDisagreements   uint64 `json:"cache_disagreements,omitempty"`
+	CacheDiskQuarantines uint64 `json:"cache_disk_quarantines,omitempty"`
+	CacheSpotCheckFails  uint64 `json:"cache_spot_check_fails,omitempty"`
+
 	// Cluster-mode extras: translations served by peer fill and peer
 	// candidates refused by the local verifier, summed over members.
 	CachePeerHits        uint64 `json:"cache_peer_hits,omitempty"`
 	CachePeerQuarantines uint64 `json:"cache_peer_quarantines,omitempty"`
+	CacheSpotChecks      uint64 `json:"cache_spot_checks,omitempty"`
 
 	// ClusterFailovers counts server-side peer abandonments during the
 	// run (peer fetches that faulted and fell through to the next
@@ -160,10 +176,15 @@ type ServerDelta struct {
 
 	// Admission-audit interval counters (v3), summed over members:
 	// how the static-analysis gate ruled on the run's uploads, with
-	// warn/reject splits by reason. All zero when the gate is off.
-	AuditPass    uint64            `json:"audit_pass,omitempty"`
-	AuditWarns   map[string]uint64 `json:"audit_warns,omitempty"`
-	AuditRejects map[string]uint64 `json:"audit_rejects,omitempty"`
+	// warn/reject splits by reason (nonzero reasons only), and the
+	// audit cache's work. All zero when the gate is off.
+	AuditPass             uint64            `json:"audit_pass,omitempty"`
+	AuditWarns            map[string]uint64 `json:"audit_warns,omitempty"`
+	AuditRejects          map[string]uint64 `json:"audit_rejects,omitempty"`
+	CacheAudits           uint64            `json:"cache_audits,omitempty"`
+	CacheAuditHits        uint64            `json:"cache_audit_hits,omitempty"`
+	CacheAuditDiskWrites  uint64            `json:"cache_audit_disk_writes,omitempty"`
+	CacheAuditQuarantines uint64            `json:"cache_audit_quarantines,omitempty"`
 
 	AppInsts     uint64  `json:"app_insts"`
 	SandboxInsts uint64  `json:"sandbox_insts"`
@@ -193,10 +214,31 @@ type AllocStat struct {
 	NsPerOp     int64  `json:"ns_per_op"`
 }
 
+// deltaField is, for each metrics.Table entry, the index of the
+// ServerDelta field with the same JSON name.
+var deltaField = func() (idx [metrics.NumIDs]int) {
+	t := reflect.TypeOf(ServerDelta{})
+	byName := map[string]int{}
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		byName[name] = i
+	}
+	for id := range metrics.Table {
+		i, ok := byName[metrics.Table[id].Name]
+		if !ok {
+			panic("load: ServerDelta has no field for metric " + metrics.Table[id].Name)
+		}
+		idx[id] = i
+	}
+	return idx
+}()
+
 // Delta computes the server-side interval between two metric
-// snapshots taken around a load run. Counters are monotonic, so plain
-// subtraction is the interval; histogram quantiles come from
-// bucket-wise subtraction (trace.HistSnapshot.Sub).
+// snapshots taken around a load run: every metrics.Table metric from
+// Snapshot.Sub (counters subtracted, gauges at their after level,
+// reason families keeping only nonzero reasons), histogram quantiles
+// from bucket-wise subtraction, and the per-target attribution and
+// cluster peer sections subtracted here.
 func Delta(before, after metrics.Snapshot) ServerDelta {
 	sub := func(a, b uint64) uint64 {
 		if a > b {
@@ -204,45 +246,25 @@ func Delta(before, after metrics.Snapshot) ServerDelta {
 		}
 		return 0
 	}
-	d := ServerDelta{
-		JobsSubmitted:   sub(after.JobsSubmitted, before.JobsSubmitted),
-		JobsRun:         sub(after.JobsRun, before.JobsRun),
-		JobsFailed:      sub(after.JobsFailed, before.JobsFailed),
-		FaultsContained: sub(after.FaultsContained, before.FaultsContained),
-		Timeouts:        sub(after.Timeouts, before.Timeouts),
-		Translations:    sub(after.Translations, before.Translations),
-		SimInsts:        sub(after.SimInsts, before.SimInsts),
-		SimCycles:       sub(after.SimCycles, before.SimCycles),
-		CacheHits:       sub(after.CacheHits, before.CacheHits),
-		CacheCoalesced:  sub(after.CacheCoalesced, before.CacheCoalesced),
-		CacheMisses:     sub(after.CacheMisses, before.CacheMisses),
-		CacheDiskHits:   sub(after.CacheDiskHits, before.CacheDiskHits),
-		Stages:          map[string]StageDelta{},
-
-		CachePeerHits:        sub(after.CachePeerHits, before.CachePeerHits),
-		CachePeerQuarantines: sub(after.CachePeerQuarantines, before.CachePeerQuarantines),
-
-		AuditPass: sub(after.AuditPass, before.AuditPass),
-	}
-	for reason, v := range after.AuditWarns {
-		if dv := sub(v, before.AuditWarns[reason]); dv > 0 {
-			if d.AuditWarns == nil {
-				d.AuditWarns = map[string]uint64{}
-			}
-			d.AuditWarns[reason] = dv
+	iv := after.Sub(before)
+	d := ServerDelta{HitRate: iv.HitRate(), Stages: map[string]StageDelta{}}
+	dv := reflect.ValueOf(&d).Elem()
+	for id := range metrics.Table {
+		m := &metrics.Table[id]
+		f := dv.Field(deltaField[id])
+		if m.Reasons == nil {
+			f.SetUint(m.Value(&iv))
+			continue
 		}
-	}
-	for reason, v := range after.AuditRejects {
-		if dv := sub(v, before.AuditRejects[reason]); dv > 0 {
-			if d.AuditRejects == nil {
-				d.AuditRejects = map[string]uint64{}
+		nonzero := map[string]uint64{}
+		for reason, v := range m.ByReason(&iv) {
+			if v > 0 {
+				nonzero[reason] = v
 			}
-			d.AuditRejects[reason] = dv
 		}
-	}
-	warm := d.CacheHits + d.CacheCoalesced + d.CacheDiskHits + d.CachePeerHits
-	if total := warm + d.CacheMisses; total > 0 {
-		d.HitRate = float64(warm) / float64(total)
+		if len(nonzero) > 0 {
+			f.Set(reflect.ValueOf(nonzero))
+		}
 	}
 	prevTargets := map[string]metrics.TargetSnapshot{}
 	for _, ts := range before.Targets {
@@ -257,12 +279,11 @@ func Delta(before, after metrics.Snapshot) ServerDelta {
 	if total := d.AppInsts + d.SandboxInsts + d.SchedInsts; total > 0 {
 		d.SandboxPct = 100 * float64(d.SandboxInsts) / float64(total)
 	}
-	for name, st := range after.Stages {
-		h := st.Hist.Sub(before.Stages[name].Hist)
-		if h.Count == 0 {
+	for name, st := range iv.Stages {
+		if st.Hist.Count == 0 {
 			continue
 		}
-		ls := latStats(h)
+		ls := latStats(st.Hist)
 		d.Stages[name] = StageDelta{
 			Count: ls.Count, P50Us: ls.P50Us, P95Us: ls.P95Us, P99Us: ls.P99Us, MeanUs: ls.MeanUs,
 		}
@@ -349,6 +370,19 @@ func Validate(r *Report) error {
 	for _, a := range r.Allocs {
 		if a.AllocsPerOp < 0 || a.Name == "" {
 			bad("malformed alloc stat %+v", a)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    uint64
+	}{
+		{"cache_rejected", r.Server.CacheRejected},
+		{"cache_disagreements", r.Server.CacheDisagreements},
+		{"cache_disk_quarantines", r.Server.CacheDiskQuarantines},
+		{"cache_spot_check_fails", r.Server.CacheSpotCheckFails},
+	} {
+		if c.n != 0 {
+			bad("correctness counter %s = %d, want 0", c.name, c.n)
 		}
 	}
 	seenPeer := map[string]bool{}
@@ -439,23 +473,7 @@ func FormatServer(d ServerDelta) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  server       run=%d failed=%d contained=%d timeouts=%d translations=%d\n",
 		d.JobsRun, d.JobsFailed, d.FaultsContained, d.Timeouts, d.Translations)
-	var ordered []string
-	seen := map[string]bool{}
-	for _, n := range metrics.StageNames {
-		if _, ok := d.Stages[n]; ok {
-			ordered = append(ordered, n)
-			seen[n] = true
-		}
-	}
-	var extra []string
-	for n := range d.Stages {
-		if !seen[n] {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	ordered = append(ordered, extra...)
-	for _, n := range ordered {
+	for _, n := range metrics.StageOrder(d.Stages) {
 		st := d.Stages[n]
 		fmt.Fprintf(&b, "  stage %-12s count=%d p50=%.0fus p95=%.0fus p99=%.0fus\n",
 			n, st.Count, st.P50Us, st.P95Us, st.P99Us)

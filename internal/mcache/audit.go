@@ -9,6 +9,7 @@ import (
 	"omniware/internal/audit"
 	"omniware/internal/mcache/diskstore"
 	"omniware/internal/ovm"
+	"omniware/internal/serve/metrics"
 	"omniware/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func (c *Cache) AuditTraced(sp *trace.Span, mod *ovm.Module, hash string) (*audi
 	c.auditMu.Lock()
 	if rep, ok := c.audits[hash]; ok {
 		c.auditMu.Unlock()
-		c.ctr.auditHits.Add(1)
+		c.ctr.Add(metrics.CacheAuditHits, 1)
 		return rep, nil
 	}
 	c.auditMu.Unlock()
@@ -47,7 +48,7 @@ func (c *Cache) AuditTraced(sp *trace.Span, mod *ovm.Module, hash string) (*audi
 	if err != nil {
 		return nil, fmt.Errorf("mcache: audit %s: %w", hash, err)
 	}
-	c.ctr.audits.Add(1)
+	c.ctr.Add(metrics.CacheAudits, 1)
 	if rep.Hash != hash {
 		// The caller's hash disagrees with the module bytes; refuse
 		// rather than memoize under a name other modules may claim.
@@ -92,7 +93,7 @@ func (c *Cache) reconcileStoredAudit(hash string, rep *audit.Report) {
 	switch {
 	case err == nil:
 		if !bytes.Equal(stored, fresh) {
-			c.ctr.auditQuarantines.Add(1)
+			c.ctr.Add(metrics.CacheAuditQuarantines, 1)
 			c.logf("mcache: stored audit for %s disagrees with re-derivation; quarantined", hash)
 			if qerr := c.disk.QuarantineAudit(hash); qerr != nil {
 				c.logf("mcache: %v", qerr)
@@ -100,18 +101,18 @@ func (c *Cache) reconcileStoredAudit(hash string, rep *audit.Report) {
 			if perr := c.disk.PutAudit(hash, fresh); perr != nil {
 				c.logf("mcache: rewriting audit for %s: %v", hash, perr)
 			} else {
-				c.ctr.auditDiskWrites.Add(1)
+				c.ctr.Add(metrics.CacheAuditDiskWrites, 1)
 			}
 		}
 	case errors.Is(err, diskstore.ErrNotFound):
 		if perr := c.disk.PutAudit(hash, fresh); perr != nil {
 			c.logf("mcache: writing audit for %s: %v", hash, perr)
 		} else {
-			c.ctr.auditDiskWrites.Add(1)
+			c.ctr.Add(metrics.CacheAuditDiskWrites, 1)
 		}
 	default:
 		// Corrupt envelope: same treatment as a mismatch.
-		c.ctr.auditQuarantines.Add(1)
+		c.ctr.Add(metrics.CacheAuditQuarantines, 1)
 		c.logf("mcache: stored audit for %s unreadable: %v; quarantined", hash, err)
 		if qerr := c.disk.QuarantineAudit(hash); qerr != nil {
 			c.logf("mcache: %v", qerr)
@@ -119,7 +120,7 @@ func (c *Cache) reconcileStoredAudit(hash string, rep *audit.Report) {
 		if perr := c.disk.PutAudit(hash, fresh); perr != nil {
 			c.logf("mcache: rewriting audit for %s: %v", hash, perr)
 		} else {
-			c.ctr.auditDiskWrites.Add(1)
+			c.ctr.Add(metrics.CacheAuditDiskWrites, 1)
 		}
 	}
 }

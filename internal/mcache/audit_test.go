@@ -39,8 +39,8 @@ func TestAuditMemoizeAndPersist(t *testing.T) {
 	if r1 != r2 {
 		t.Fatalf("second Audit not memoized")
 	}
-	st := c.Stats()
-	if st.Audits != 1 || st.AuditHits != 1 || st.AuditDiskWrites != 1 {
+	st := stats(c)
+	if st.CacheAudits != 1 || st.CacheAuditHits != 1 || st.CacheAuditDiskWrites != 1 {
 		t.Fatalf("stats = %+v, want 1 audit, 1 hit, 1 disk write", st)
 	}
 	if got, ok := c.AuditByHash(hash); !ok || got != r1 {
@@ -57,7 +57,7 @@ func TestAuditMemoizeAndPersist(t *testing.T) {
 	if _, err := c2.Audit(mod); err != nil {
 		t.Fatal(err)
 	}
-	if st := c2.Stats(); st.AuditQuarantines != 0 || st.AuditDiskWrites != 0 {
+	if st := stats(c2); st.CacheAuditQuarantines != 0 || st.CacheAuditDiskWrites != 0 {
 		t.Fatalf("clean restart stats = %+v, want no quarantines, no rewrites", st)
 	}
 
@@ -76,8 +76,8 @@ func TestAuditMemoizeAndPersist(t *testing.T) {
 	if r3.Digest() != r1.Digest() {
 		t.Fatalf("derived report changed across processes")
 	}
-	st3 := c3.Stats()
-	if st3.AuditQuarantines != 1 || st3.AuditDiskWrites != 1 {
+	st3 := stats(c3)
+	if st3.CacheAuditQuarantines != 1 || st3.CacheAuditDiskWrites != 1 {
 		t.Fatalf("tamper stats = %+v, want 1 quarantine, 1 rewrite", st3)
 	}
 	found := false

@@ -96,7 +96,7 @@ func TestVerifyModesAdmitTranslatorOutput(t *testing.T) {
 			if _, _, err := c.Translate(mod, m, si, opt); err != nil {
 				t.Fatalf("mode %s rejected genuine translator output: %v", mode, err)
 			}
-			if s := c.Stats(); s.Rejected != 0 || s.Disagreements != 0 || s.Entries != 1 {
+			if s := stats(c); s.CacheRejected != 0 || s.CacheDisagreements != 0 || s.CacheEntries != 1 {
 				t.Errorf("mode %s stats %+v", mode, s)
 			}
 		})
@@ -130,8 +130,8 @@ func TestVerifierDisagreementRejectedFromMemory(t *testing.T) {
 	if !strings.Contains(err.Error(), "disagreement") {
 		t.Errorf("rejection does not name the disagreement: %v", err)
 	}
-	s := c.Stats()
-	if s.Disagreements != 1 || s.Rejected != 1 || s.Entries != 0 {
+	s := stats(c)
+	if s.CacheDisagreements != 1 || s.CacheRejected != 1 || s.CacheEntries != 0 {
 		t.Errorf("stats %+v, want 1 disagreement, 1 rejection, 0 entries", s)
 	}
 
@@ -188,8 +188,8 @@ func TestVerifierDisagreementOnDiskQuarantined(t *testing.T) {
 	if got == nil {
 		t.Fatal("no program returned")
 	}
-	s := c.Stats()
-	if s.DiskQuarantines != 1 || s.Disagreements != 1 || s.DiskHits != 0 {
+	s := stats(c)
+	if s.CacheDiskQuarantines != 1 || s.CacheDisagreements != 1 || s.CacheDiskHits != 0 {
 		t.Errorf("stats %+v, want 1 quarantine, 1 disagreement, 0 disk hits", s)
 	}
 	found := false

@@ -34,6 +34,7 @@ import (
 	"omniware/internal/audit"
 	"omniware/internal/mcache/diskstore"
 	"omniware/internal/ovm"
+	"omniware/internal/serve/metrics"
 	"omniware/internal/sfi"
 	"omniware/internal/sfi/absint"
 	"omniware/internal/target"
@@ -68,7 +69,7 @@ const (
 	VerifyAbsint
 	// VerifyBoth runs both verifiers and admits only when both accept.
 	// A disagreement (either direction) rejects the program and is
-	// counted in Stats.Disagreements — it means one of the verifiers
+	// counted as cache_disagreements — it means one of the verifiers
 	// has a bug, and the cache refuses to guess which.
 	VerifyBoth
 )
@@ -82,42 +83,6 @@ func (v VerifyMode) String() string {
 	default:
 		return "check"
 	}
-}
-
-// Stats is a snapshot of the cache counters. Misses equals the number
-// of translations the cache performed; Hits counts entries served from
-// memory ready-made; DiskHits counts entries re-admitted from the
-// persistent tier (verified again, but not retranslated); Coalesced
-// counts callers that piggybacked on a lookup already in flight (also
-// served without translating).
-type Stats struct {
-	Lookups   uint64
-	Hits      uint64
-	Coalesced uint64
-	Misses    uint64
-	Inserts   uint64
-	Evictions uint64
-	Rejected  uint64 // admission failures: verifier refused the program
-	// Disagreements counts VerifyBoth admissions where the two
-	// verifiers returned different verdicts. Every disagreement is
-	// also a rejection; a nonzero value means a verifier bug.
-	Disagreements uint64
-	Entries       int
-	CodeBytes     int64
-
-	DiskHits        uint64 // programs served from disk after re-verification
-	DiskWrites      uint64 // programs written through to the persistent tier
-	DiskQuarantines uint64 // disk entries refused (corrupt or unverifiable) and set aside
-
-	PeerHits        uint64 // programs admitted from a cluster peer (verified again, not retranslated)
-	PeerQuarantines uint64 // peer candidates refused by the admission gate or spot check
-	SpotChecks      uint64 // peer admissions sampled for retranslation equality
-	SpotCheckFails  uint64 // spot checks where the peer's program was not the local translation
-
-	Audits           uint64 // audit pipeline runs (memoization misses)
-	AuditHits        uint64 // audit reports served memoized
-	AuditDiskWrites  uint64 // audit reports written through to the persistent tier
-	AuditQuarantines uint64 // stored audits that disagreed with re-derivation and were set aside
 }
 
 // ModuleHash returns the content address of a module: the hex SHA-256
@@ -186,19 +151,6 @@ type shard struct {
 	inflight map[string]*flight
 }
 
-// counters are the monotonic statistics, kept atomic so the sharded
-// paths never contend on a stats lock.
-type counters struct {
-	lookups, hits, coalesced, misses      atomic.Uint64
-	inserts, evictions                    atomic.Uint64
-	rejected, disagreements               atomic.Uint64
-	diskHits, diskWrites, diskQuarantines atomic.Uint64
-	peerHits, peerQuarantines             atomic.Uint64
-	peerSpotChecks, peerSpotCheckFails    atomic.Uint64
-	audits, auditHits                     atomic.Uint64
-	auditDiskWrites, auditQuarantines     atomic.Uint64
-}
-
 // Cache is a content-addressed translation cache with LRU eviction by
 // estimated code size and an optional persistent tier. The zero value
 // is not usable; call New or NewWith. All methods are safe for
@@ -209,10 +161,9 @@ type counters struct {
 // single-LRU behavior up to races between concurrent touches.
 type Cache struct {
 	limit     int64
-	bytes     atomic.Int64
 	clock     atomic.Uint64
 	shards    [numShards]shard
-	ctr       counters
+	ctr       metrics.Counters // the cache_* metrics; cache_bytes is the eviction budget's use
 	disk      *diskstore.Store
 	verify    VerifyMode
 	peer      PeerSource
@@ -337,10 +288,9 @@ func (c *Cache) translateTraced(sp *trace.Span, mod *ovm.Module, mach *target.Ma
 	k := key(ModuleHash(mod), mach, si, opt)
 	sh := c.shardFor(k)
 
-	c.ctr.lookups.Add(1)
 	sh.mu.Lock()
 	if el, ok := sh.byKey[k]; ok {
-		c.ctr.hits.Add(1)
+		c.ctr.Add(metrics.CacheHits, 1)
 		sh.lru.MoveToFront(el)
 		e := el.Value.(*entry)
 		e.stamp = c.clock.Add(1)
@@ -351,7 +301,7 @@ func (c *Cache) translateTraced(sp *trace.Span, mod *ovm.Module, mach *target.Ma
 		return prog, true, nil
 	}
 	if f, ok := sh.inflight[k]; ok {
-		c.ctr.coalesced.Add(1)
+		c.ctr.Add(metrics.CacheCoalesced, 1)
 		sh.mu.Unlock()
 		wsp := sp.Child("coalesce_wait")
 		<-f.done
@@ -383,7 +333,7 @@ func (c *Cache) translateTraced(sp *trace.Span, mod *ovm.Module, mach *target.Ma
 	}
 	var err error
 	if !warm {
-		c.ctr.misses.Add(1)
+		c.ctr.Add(metrics.CacheMisses, 1)
 		tsp := sp.Child("translate")
 		var tim translate.Timings
 		prog, tim, err = translate.TranslateTimed(mod, mach, si, opt)
@@ -449,10 +399,10 @@ func (c *Cache) loadFromDisk(sp *trace.Span, k string, mach *target.Machine, si 
 			c.logf("mcache: quarantining disk entry for %q: %v", k, qerr)
 		}
 		c.logf("mcache: disk entry for %q quarantined: %v", k, err)
-		c.ctr.diskQuarantines.Add(1)
+		c.ctr.Add(metrics.CacheDiskQuarantines, 1)
 		return nil, false
 	}
-	c.ctr.diskHits.Add(1)
+	c.ctr.Add(metrics.CacheDiskHits, 1)
 	return prog, true
 }
 
@@ -469,7 +419,7 @@ func (c *Cache) writeThrough(sp *trace.Span, k string, prog *target.Program) {
 		c.logf("mcache: writing %q to disk: %v", k, err)
 		return
 	}
-	c.ctr.diskWrites.Add(1)
+	c.ctr.Add(metrics.CacheDiskWrites, 1)
 }
 
 // Insert admits an externally produced translation — the paper's
@@ -512,7 +462,7 @@ func (c *Cache) admit(sp *trace.Span, prog *target.Program, mach *target.Machine
 		st, aerr := absint.CheckStats(prog, mach, si)
 		vsp.Set("absint_stores", st.Stores).Set("absint_indirects", st.Indirects).Set("absint_blocks", st.Blocks)
 		if c.verify == VerifyBoth && (err == nil) != (aerr == nil) {
-			c.ctr.disagreements.Add(1)
+			c.ctr.Add(metrics.CacheDisagreements, 1)
 			vsp.Set("disagreement", true)
 			c.logf("mcache: verifier disagreement (sfi.Check: %v; absint: %v)", err, aerr)
 			err = fmt.Errorf("verifier disagreement: sfi.Check says %s, absint says %s (check: %v; absint: %v)",
@@ -523,7 +473,7 @@ func (c *Cache) admit(sp *trace.Span, prog *target.Program, mach *target.Machine
 	}
 	vsp.End()
 	if err != nil {
-		c.ctr.rejected.Add(1)
+		c.ctr.Add(metrics.CacheRejected, 1)
 		return fmt.Errorf("mcache: admission rejected: %w", err)
 	}
 	// Build the simulator's tables now, off the first run's path, so
@@ -552,8 +502,8 @@ func (c *Cache) insertLocked(sh *shard, k string, prog *target.Program, size int
 	}
 	e := &entry{key: k, prog: prog, size: size, stamp: c.clock.Add(1)}
 	sh.byKey[k] = sh.lru.PushFront(e)
-	c.bytes.Add(e.size)
-	c.ctr.inserts.Add(1)
+	c.ctr.Add(metrics.CacheEntries, 1)
+	c.ctr.Add(metrics.CacheBytes, uint64(e.size))
 	return e
 }
 
@@ -566,7 +516,7 @@ func (c *Cache) insertLocked(sh *shard, k string, prog *target.Program, size int
 // reorder between scan and removal, which costs only approximation,
 // never a missing or double-counted entry.
 func (c *Cache) evict(keep *entry) {
-	for c.bytes.Load() > c.limit {
+	for int64(c.ctr.Load(metrics.CacheBytes)) > c.limit {
 		var victim *shard
 		oldest := ^uint64(0)
 		for i := range c.shards {
@@ -592,43 +542,12 @@ func (c *Cache) evict(keep *entry) {
 		ev := back.Value.(*entry)
 		victim.lru.Remove(back)
 		delete(victim.byKey, ev.key)
-		c.bytes.Add(-ev.size)
-		c.ctr.evictions.Add(1)
+		c.ctr.Dec(metrics.CacheEntries, 1)
+		c.ctr.Dec(metrics.CacheBytes, uint64(ev.size))
+		c.ctr.Add(metrics.CacheEvictions, 1)
 		victim.mu.Unlock()
 	}
 }
 
-// Stats returns a snapshot of the counters.
-func (c *Cache) Stats() Stats {
-	s := Stats{
-		Lookups:         c.ctr.lookups.Load(),
-		Hits:            c.ctr.hits.Load(),
-		Coalesced:       c.ctr.coalesced.Load(),
-		Misses:          c.ctr.misses.Load(),
-		Inserts:         c.ctr.inserts.Load(),
-		Evictions:       c.ctr.evictions.Load(),
-		Rejected:        c.ctr.rejected.Load(),
-		Disagreements:   c.ctr.disagreements.Load(),
-		DiskHits:        c.ctr.diskHits.Load(),
-		DiskWrites:      c.ctr.diskWrites.Load(),
-		DiskQuarantines: c.ctr.diskQuarantines.Load(),
-		PeerHits:        c.ctr.peerHits.Load(),
-		PeerQuarantines: c.ctr.peerQuarantines.Load(),
-		SpotChecks:      c.ctr.peerSpotChecks.Load(),
-		SpotCheckFails:  c.ctr.peerSpotCheckFails.Load(),
-
-		Audits:           c.ctr.audits.Load(),
-		AuditHits:        c.ctr.auditHits.Load(),
-		AuditDiskWrites:  c.ctr.auditDiskWrites.Load(),
-		AuditQuarantines: c.ctr.auditQuarantines.Load(),
-
-		CodeBytes: c.bytes.Load(),
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return s
-}
+// Counters returns the cache's live cache_* metrics.
+func (c *Cache) Counters() *metrics.Counters { return &c.ctr }

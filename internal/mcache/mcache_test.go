@@ -11,9 +11,17 @@ import (
 	"omniware/internal/core"
 	"omniware/internal/mcache"
 	"omniware/internal/ovm"
+	"omniware/internal/serve/metrics"
 	"omniware/internal/target"
 	"omniware/internal/translate"
 )
+
+// stats reads the cache's counters into a snapshot.
+func stats(c *mcache.Cache) metrics.Snapshot {
+	var s metrics.Snapshot
+	c.Counters().AddTo(&s)
+	return s
+}
 
 func buildMod(t *testing.T, src string) *ovm.Module {
 	t.Helper()
@@ -54,8 +62,8 @@ func TestHitMissAndSharing(t *testing.T) {
 	if !served || p2 != p1 {
 		t.Errorf("second lookup not a hit on the same program (served=%v)", served)
 	}
-	s := c.Stats()
-	if s.Lookups != 2 || s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
+	s := stats(c)
+	if s.CacheMisses != 1 || s.CacheHits != 1 || s.CacheEntries != 1 {
 		t.Errorf("stats %+v", s)
 	}
 
@@ -107,7 +115,7 @@ func TestKeySeparation(t *testing.T) {
 			t.Errorf("lookup %d: served=%v err=%v (want distinct miss)", i, served, err)
 		}
 	}
-	if s := c.Stats(); s.Misses != 4 || s.Entries != 4 {
+	if s := stats(c); s.CacheMisses != 4 || s.CacheEntries != 4 {
 		t.Errorf("stats %+v", s)
 	}
 }
@@ -145,8 +153,8 @@ func TestCodeBytesCountPredecodedTable(t *testing.T) {
 	}
 	tables := prog.Predecode(m)
 	want := int64(len(prog.Code))*int64(unsafe.Sizeof(target.Inst{})) + int64(len(prog.OmniToNative))*4 + tables
-	if got := c.Stats().CodeBytes; got != want {
-		t.Errorf("CodeBytes = %d, want %d (%d instructions, %d index entries, %d table bytes)",
+	if got := int64(stats(c).CacheBytes); got != want {
+		t.Errorf("cache_bytes = %d, want %d (%d instructions, %d index entries, %d table bytes)",
 			got, want, len(prog.Code), len(prog.OmniToNative), tables)
 	}
 	if tables < int64(len(prog.Code))*8 {
@@ -159,8 +167,8 @@ func TestCodeBytesCountPredecodedTable(t *testing.T) {
 	if _, err := h.RunProgram(m, prog); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Stats().CodeBytes; got != want {
-		t.Errorf("CodeBytes after a run = %d, want %d", got, want)
+	if got := int64(stats(c).CacheBytes); got != want {
+		t.Errorf("cache_bytes after a run = %d, want %d", got, want)
 	}
 }
 
@@ -192,12 +200,12 @@ func TestLRUEvictionByCodeSize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := c.Stats()
-	if s.Evictions == 0 {
+	s := stats(c)
+	if s.CacheEvictions == 0 {
 		t.Fatalf("no evictions under limit %d: %+v", limit, s)
 	}
-	if s.CodeBytes > limit {
-		t.Errorf("cache over budget: %d > %d", s.CodeBytes, limit)
+	if int64(s.CacheBytes) > limit {
+		t.Errorf("cache over budget: %d > %d", s.CacheBytes, limit)
 	}
 	// Most recently used entry must still be resident.
 	if _, served, err := c.Translate(mods[len(mods)-1], m, sis[len(mods)-1], opt); err != nil || !served {
@@ -232,12 +240,12 @@ func TestSingleflightDeduplication(t *testing.T) {
 			t.Fatalf("caller %d got a different program", i)
 		}
 	}
-	s := c.Stats()
-	if s.Misses != 1 {
-		t.Errorf("%d translations for one key (stats %+v)", s.Misses, s)
+	s := stats(c)
+	if s.CacheMisses != 1 {
+		t.Errorf("%d translations for one key (stats %+v)", s.CacheMisses, s)
 	}
-	if s.Hits+s.Coalesced != n-1 {
-		t.Errorf("hits %d + coalesced %d != %d", s.Hits, s.Coalesced, n-1)
+	if s.CacheHits+s.CacheCoalesced != n-1 {
+		t.Errorf("hits %d + coalesced %d != %d", s.CacheHits, s.CacheCoalesced, n-1)
 	}
 }
 
@@ -277,7 +285,7 @@ func TestInsertRejectsTamperedProgram(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "admission rejected") {
 		t.Fatalf("tampered program admitted: %v", err)
 	}
-	if s := c.Stats(); s.Rejected == 0 {
+	if s := stats(c); s.CacheRejected == 0 {
 		t.Errorf("rejection not counted: %+v", s)
 	}
 }

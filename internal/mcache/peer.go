@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"omniware/internal/serve/metrics"
 	"omniware/internal/target"
 	"omniware/internal/trace"
 	"omniware/internal/translate"
@@ -104,12 +105,12 @@ func (c *Cache) loadFromPeer(sp *trace.Span, k string, retranslate retranslateFn
 			err = c.spotCheck(psp, cand.Prog, retranslate)
 		}
 		if err != nil {
-			c.ctr.peerQuarantines.Add(1)
+			c.ctr.Add(metrics.CachePeerQuarantines, 1)
 			c.peer.Quarantined(k, cand.Peer, reason, err)
 			c.logf("mcache: peer %s candidate for %q quarantined (%s): %v", cand.Peer, k, reason, err)
 			continue
 		}
-		c.ctr.peerHits.Add(1)
+		c.ctr.Add(metrics.CachePeerHits, 1)
 		c.peer.Admitted(k, cand.Peer)
 		psp.Set("peer", cand.Peer)
 		psp.AttachRemote(cand.Remote, cand.Peer)
@@ -145,16 +146,16 @@ func (c *Cache) spotCheck(sp *trace.Span, got *target.Program, retranslate retra
 // and demand instruction-for-instruction equality. Run on every
 // replication push (AdmitKeyed) and on sampled peer fills (spotCheck).
 func (c *Cache) correspond(sp *trace.Span, got *target.Program, retranslate retranslateFn) error {
-	c.ctr.peerSpotChecks.Add(1)
+	c.ctr.Add(metrics.CacheSpotChecks, 1)
 	local, err := retranslate()
 	if err != nil {
 		// The local translator refusing the module while a peer serves
 		// a "translation" of it is itself a red flag.
-		c.ctr.peerSpotCheckFails.Add(1)
+		c.ctr.Add(metrics.CacheSpotCheckFails, 1)
 		return fmt.Errorf("mcache: spot check: local translation failed: %w", err)
 	}
 	if !reflect.DeepEqual(local.Code, got.Code) {
-		c.ctr.peerSpotCheckFails.Add(1)
+		c.ctr.Add(metrics.CacheSpotCheckFails, 1)
 		sp.Set("mismatch", true)
 		return fmt.Errorf("mcache: spot check: peer translation differs from local retranslation (%d vs %d insts)",
 			len(got.Code), len(local.Code))
@@ -225,7 +226,7 @@ func (c *Cache) AdmitKeyed(k string, prog *target.Program, retranslate func() (*
 	}
 	if retranslate != nil {
 		if err := c.correspond(nil, prog, retranslate); err != nil {
-			c.ctr.peerQuarantines.Add(1)
+			c.ctr.Add(metrics.CachePeerQuarantines, 1)
 			return err
 		}
 	}

@@ -85,11 +85,11 @@ func TestPeerFill(t *testing.T) {
 	if !served || prog != warmProg {
 		t.Errorf("peer fill not served warm (served=%v)", served)
 	}
-	s := cold.Stats()
-	if s.Misses != 0 {
+	s := stats(cold)
+	if s.CacheMisses != 0 {
 		t.Errorf("peer fill still translated locally: %+v", s)
 	}
-	if s.PeerHits != 1 || s.PeerQuarantines != 0 {
+	if s.CachePeerHits != 1 || s.CachePeerQuarantines != 0 {
 		t.Errorf("peer counters wrong: %+v", s)
 	}
 	if len(peers.admitted) != 1 || peers.admitted[0] != k+"@node-b" {
@@ -144,8 +144,8 @@ func TestPeerQuarantine(t *testing.T) {
 			if prog == tampered {
 				t.Fatal("tampered program escaped quarantine")
 			}
-			s := c.Stats()
-			if s.PeerQuarantines != 1 || s.PeerHits != 0 || s.Misses != 1 {
+			s := stats(c)
+			if s.CachePeerQuarantines != 1 || s.CachePeerHits != 0 || s.CacheMisses != 1 {
 				t.Errorf("stats %+v", s)
 			}
 			if len(peers.quarantined) != 1 || peers.quarantined[0] != k+"@evil/"+mcache.QuarantineVerifier {
@@ -186,8 +186,8 @@ func TestPeerSecondCandidateWins(t *testing.T) {
 	if !served || prog != good {
 		t.Errorf("honest second candidate not served (served=%v)", served)
 	}
-	s := c.Stats()
-	if s.PeerHits != 1 || s.PeerQuarantines != 1 || s.Misses != 0 {
+	s := stats(c)
+	if s.CachePeerHits != 1 || s.CachePeerQuarantines != 1 || s.CacheMisses != 0 {
 		t.Errorf("stats %+v", s)
 	}
 }
@@ -223,8 +223,8 @@ func TestPeerSpotCheck(t *testing.T) {
 	if served {
 		t.Error("wrong-translation candidate served as warm")
 	}
-	s := c.Stats()
-	if s.SpotChecks != 1 || s.SpotCheckFails != 1 || s.PeerQuarantines != 1 || s.PeerHits != 0 {
+	s := stats(c)
+	if s.CacheSpotChecks != 1 || s.CacheSpotCheckFails != 1 || s.CachePeerQuarantines != 1 || s.CachePeerHits != 0 {
 		t.Errorf("stats %+v", s)
 	}
 }
@@ -287,7 +287,7 @@ func TestPeekAndAdmitKeyed(t *testing.T) {
 	if got, ok := c.Peek(k); !ok || got != prog {
 		t.Error("Peek does not see the pushed entry")
 	}
-	if s := c.Stats(); s.SpotChecks != 1 || s.SpotCheckFails != 0 {
+	if s := stats(c); s.CacheSpotChecks != 1 || s.CacheSpotCheckFails != 0 {
 		t.Errorf("push correspondence not checked: %+v", s)
 	}
 
@@ -338,8 +338,8 @@ func TestAdmitKeyedCorrespondence(t *testing.T) {
 	if _, ok := c.Peek(k); ok {
 		t.Error("wrong push visible via Peek")
 	}
-	s := c.Stats()
-	if s.SpotChecks != 1 || s.SpotCheckFails != 1 || s.PeerQuarantines != 1 {
+	s := stats(c)
+	if s.CacheSpotChecks != 1 || s.CacheSpotCheckFails != 1 || s.CachePeerQuarantines != 1 {
 		t.Errorf("stats %+v", s)
 	}
 }

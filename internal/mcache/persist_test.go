@@ -57,7 +57,7 @@ func TestRestartDurability(t *testing.T) {
 			t.Fatalf("populate %d: served=%v err=%v", i, served, err)
 		}
 	}
-	if s := c1.Stats(); s.DiskWrites != 3 || s.Misses != 3 {
+	if s := stats(c1); s.CacheDiskWrites != 3 || s.CacheMisses != 3 {
 		t.Fatalf("populate stats %+v", s)
 	}
 	if len(log1) != 0 {
@@ -119,8 +119,8 @@ func TestRestartDurability(t *testing.T) {
 	if diskHits != 2 || retranslated != 1 {
 		t.Fatalf("after restart: %d disk hits, %d retranslations (want 2, 1)", diskHits, retranslated)
 	}
-	s := c2.Stats()
-	if s.DiskHits != 2 || s.Misses != 1 || s.DiskQuarantines != 1 {
+	s := stats(c2)
+	if s.CacheDiskHits != 2 || s.CacheMisses != 1 || s.CacheDiskQuarantines != 1 {
 		t.Fatalf("restart stats %+v", s)
 	}
 	// The corrupted entry was quarantined — moved aside, not deleted,
@@ -146,7 +146,7 @@ func TestRestartDurability(t *testing.T) {
 			t.Fatalf("lookup %d after heal: served=%v err=%v", i, served, err)
 		}
 	}
-	if s := c3.Stats(); s.DiskHits != 3 || s.Misses != 0 {
+	if s := stats(c3); s.CacheDiskHits != 3 || s.CacheMisses != 0 {
 		t.Fatalf("healed stats %+v", s)
 	}
 }
@@ -210,8 +210,8 @@ func TestTamperedDiskEntryQuarantined(t *testing.T) {
 	if served {
 		t.Fatal("forged entry was served from disk")
 	}
-	s := c2.Stats()
-	if s.DiskQuarantines != 1 || s.Rejected != 1 || s.Misses != 1 {
+	s := stats(c2)
+	if s.CacheDiskQuarantines != 1 || s.CacheRejected != 1 || s.CacheMisses != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 	if len(logs2) == 0 || !strings.Contains(strings.Join(logs2, "\n"), "quarantined") {

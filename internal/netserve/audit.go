@@ -24,6 +24,7 @@ import (
 
 	"omniware/internal/audit"
 	"omniware/internal/ovm"
+	"omniware/internal/serve/metrics"
 )
 
 // Audit gate modes for AuditConfig.Mode. The zero value selects
@@ -135,25 +136,25 @@ func (h *Handler) runAudit(mod *ovm.Module, hash, what string) (auditOutcome, er
 	start := time.Now()
 	rep, err := h.srv.Cache().AuditHashed(mod, hash)
 	out.dur = time.Since(start)
-	met.Audit.Observe(out.dur)
+	met.Observe(metrics.StageAudit, out.dur)
 	if err != nil {
 		return out, fmt.Errorf("auditing %s: %w", what, err)
 	}
 	out.rep = rep
 	out.violations = rep.Violations(h.cfg.Audit.limits())
 	if len(out.violations) == 0 {
-		met.AuditPass.Add(1)
+		met.Add(metrics.AuditPass, 1)
 		return out, nil
 	}
 	if h.cfg.Audit.Mode == AuditEnforce {
 		out.rejected = true
 		for _, v := range out.violations {
-			met.AuditReject(v.Reason)
+			met.AddReason(metrics.AuditRejects, v.Reason)
 		}
 		return out, nil
 	}
 	for _, v := range out.violations {
-		met.AuditWarn(v.Reason)
+		met.AddReason(metrics.AuditWarns, v.Reason)
 		h.cfg.Logf("netserve: audit warning for %s: %s: %s", what, v.Reason, v.Detail)
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package netserve_test
 import (
 	"errors"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -82,6 +83,22 @@ func TestAuditWarnMode(t *testing.T) {
 	}
 	if snap.AuditRejects["stack"] != 0 {
 		t.Fatalf("warn mode counted a reject: %+v", snap.AuditRejects)
+	}
+
+	// The audit cache's counters reach /v1/metrics in both formats.
+	js, err := cl.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js.CacheAudits < 1 {
+		t.Fatalf("/v1/metrics cache_audits = %d, want >= 1", js.CacheAudits)
+	}
+	prom, err := cl.MetricsProm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^omni_cache_audits_total [1-9]`).MatchString(prom) {
+		t.Fatalf("Prometheus scrape reports no cache audits:\n%s", prom)
 	}
 
 	// The exec trace carries the backdated upload-time audit span.

@@ -40,6 +40,7 @@ import (
 
 	"omniware/internal/mcache"
 	"omniware/internal/scope"
+	"omniware/internal/serve/metrics"
 	"omniware/internal/target"
 	"omniware/internal/trace"
 	"omniware/internal/translate"
@@ -177,16 +178,16 @@ func (h *Handler) handlePeerTranslation(w http.ResponseWriter, r *http.Request) 
 		if ent.mod != nil {
 			csp := sp.Child("cache")
 			p2, warm, terr := h.srv.Cache().TranslateNoPeer(csp, ent.mod, mach, si, opt)
-			h.srv.Metrics().Translate.Observe(csp.End())
+			h.srv.Metrics().Observe(metrics.StageTranslate, csp.End())
 			if vsp := csp.Find("verify"); vsp != nil {
-				h.srv.Metrics().Verify.Observe(vsp.Dur())
+				h.srv.Metrics().Observe(metrics.StageVerify, vsp.Dur())
 			}
 			if terr != nil {
 				h.cfg.Logf("netserve: owner fill for %q failed: %v", key, terr)
 			} else {
 				prog, ok = p2, true
 				if !warm {
-					h.srv.Metrics().Translations.Add(1)
+					h.srv.Metrics().Add(metrics.Translations, 1)
 				}
 			}
 		}
@@ -330,7 +331,7 @@ func (h *Handler) fetchModuleViaPeers(hash string, org mcache.PeerOrigin) (modEn
 		h.cfg.Logf("netserve: peer module fetch for %s: bad blob (err=%v, hash=%s)", hash, err, gotHash)
 		return modEntry{}, nil, "", nil
 	}
-	h.srv.Metrics().Decode.Observe(decodeDur)
+	h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
 	out, aerr := h.runAudit(mod, hash, "peer-filled module "+hash)
 	if aerr != nil {
 		return modEntry{}, nil, "", aerr
@@ -384,7 +385,7 @@ func (h *Handler) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 	for i, blob := range blobs {
 		mod, canon, hash, err := decodeCanonical(blob)
 		if err != nil {
-			h.srv.Metrics().Decode.Observe(time.Since(decodeStart))
+			h.srv.Metrics().Observe(metrics.StageDecode, time.Since(decodeStart))
 			writeError(w, http.StatusBadRequest, "batch member %d: %v", i, err)
 			return
 		}
@@ -392,7 +393,7 @@ func (h *Handler) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 		hashes[i] = hash
 	}
 	decodeDur := time.Since(decodeStart)
-	h.srv.Metrics().Decode.Observe(decodeDur)
+	h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
 	// The audit gate keeps the all-or-nothing contract: every member is
 	// audited before any is registered, and one enforce-mode rejection
 	// refuses the whole batch, naming the member.

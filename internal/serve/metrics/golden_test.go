@@ -21,7 +21,7 @@ func fullSnapshot() Snapshot {
 		for i := 1; i <= n; i++ {
 			h.Observe(time.Duration(i) * base)
 		}
-		return stageSnap(&h)
+		return stageOf(h.Snapshot())
 	}
 	s := Snapshot{
 		JobsSubmitted: 101, JobsRun: 102, JobsFailed: 103, FaultsContained: 104,

@@ -1,9 +1,10 @@
 // Package metrics holds the serving layer's counters, gauges, latency
-// histograms and per-target instruction-attribution counters. The
-// hot-path updates are lock-free atomics; Snapshot produces a
-// consistent-enough copy for reporting, Text renders it in a fixed
-// order for logs and the omniserve summary, and Prom (prom.go) renders
-// the Prometheus text exposition format for scrapers.
+// histograms and per-target instruction-attribution counters. Every
+// scalar metric and reason family is declared once in Table
+// (registry.go); the JSON snapshot, Prom (prom.go), Text, the fleet
+// merge and the interval subtraction all walk it. The hot-path
+// updates are lock-free atomics; Snapshot produces a
+// consistent-enough copy for reporting.
 package metrics
 
 import (
@@ -17,22 +18,33 @@ import (
 	"omniware/internal/trace"
 )
 
-// StageNames lists the pipeline stages with latency histograms, in
-// reporting order: wire decode (uploads), static audit (admission-time
-// analysis, recorded by the upload path), queue wait (admission to
-// dequeue), the translate stage (cache lookup through admission), the
-// cluster peer probe within it (when a peer source is wired), SFI
-// verification alone, and job run time (dequeue to completion, queue
-// excluded).
-var StageNames = []string{"decode", "audit", "queue_wait", "translate", "peer_fetch", "verify", "run"}
+// Stage indexes the pipeline stages that carry latency histograms.
+type Stage int
+
+// The stages, in reporting order: wire decode (uploads), static audit
+// (admission-time analysis, recorded by the upload path), queue wait
+// (admission to dequeue), the translate stage (cache lookup through
+// admission), the cluster peer probe within it (when a peer source is
+// wired), SFI verification alone, and job run time (dequeue to
+// completion, queue excluded).
+const (
+	StageDecode Stage = iota
+	StageAudit
+	StageQueueWait
+	StageTranslate
+	StagePeerFetch
+	StageVerify
+	StageRun
+	NumStages
+)
+
+// StageNames names each Stage in snapshots and renderings.
+var StageNames = [NumStages]string{"decode", "audit", "queue_wait", "translate", "peer_fetch", "verify", "run"}
 
 // AuditReasons is the closed set of audit-gate failure reasons
-// (mirrors audit.GateReasons without the import). Outcome counters are
-// pre-registered at zero for every reason in both the JSON snapshot
-// and the Prometheus rendering, matching the quarantine-reason
-// convention, so scrapers see the full label set from the first
-// scrape.
-var AuditReasons = []string{"stack", "cost", "capability", "recursion"}
+// (mirrors audit.GateReasons without the import), the label set of
+// the audit_warns and audit_rejects families.
+var AuditReasons = [...]string{"stack", "cost", "capability", "recursion"}
 
 // TargetCounters is the per-machine section: job and instruction
 // counters by expansion category (the live form of the paper's
@@ -52,63 +64,18 @@ func (tc *TargetCounters) AddRun(res target.Result, d time.Duration) {
 	tc.Run.Observe(d)
 }
 
-// Metrics is the live counter set one Server owns. The zero value is
-// ready to use. Cache counters live in the cache itself (see
-// internal/mcache.Stats); the server merges them into the Snapshot it
-// reports.
+// Metrics is the live metric set one Server owns: its Counters (the
+// cache counts its own, see internal/mcache), the stage latency
+// histograms and the per-target sections. The zero value is ready to
+// use.
 type Metrics struct {
-	JobsSubmitted   atomic.Uint64 // jobs accepted into the queue
-	JobsRun         atomic.Uint64 // jobs that finished cleanly (module exited)
-	JobsFailed      atomic.Uint64 // jobs that failed (fault, budget, timeout, bad input)
-	FaultsContained atomic.Uint64 // failed jobs whose fault the server absorbed
-	Timeouts        atomic.Uint64 // failed jobs killed by the per-job deadline
-	Translations    atomic.Uint64 // translations performed on behalf of jobs
-	SimInsts        atomic.Uint64 // native instructions simulated across jobs
-	SimCycles       atomic.Uint64 // simulated pipeline cycles across jobs
-	QueueDepth      atomic.Int64  // jobs submitted but not yet finished
-
-	// Stage latency histograms (see StageNames).
-	Decode    trace.Histogram // wire decode, recorded by the upload path
-	Audit     trace.Histogram // static audit, recorded by the upload path
-	QueueWait trace.Histogram // submit to dequeue
-	Translate trace.Histogram // the translate stage (cache call), per job
-	PeerFetch trace.Histogram // cluster peer probe within the translate stage
-	Verify    trace.Histogram // SFI verification, when the stage ran one
-	Run       trace.Histogram // dequeue to completion (queue wait excluded)
-
-	// Audit-gate outcomes: passes, and warn/reject splits indexed by
-	// AuditReasons position.
-	AuditPass    atomic.Uint64
-	auditWarns   [4]atomic.Uint64
-	auditRejects [4]atomic.Uint64
-
+	Counters
+	stages  [NumStages]trace.Histogram
 	targets [4]TargetCounters // indexed by target.Arch
 }
 
-// AuditWarn counts one warn-mode audit violation for reason (an
-// AuditReasons member; anything else is dropped rather than growing
-// the closed label set).
-func (m *Metrics) AuditWarn(reason string) {
-	if i := auditReasonIndex(reason); i >= 0 {
-		m.auditWarns[i].Add(1)
-	}
-}
-
-// AuditReject counts one enforce-mode audit rejection for reason.
-func (m *Metrics) AuditReject(reason string) {
-	if i := auditReasonIndex(reason); i >= 0 {
-		m.auditRejects[i].Add(1)
-	}
-}
-
-func auditReasonIndex(reason string) int {
-	for i, r := range AuditReasons {
-		if r == reason {
-			return i
-		}
-	}
-	return -1
-}
+// Observe records one latency of stage st.
+func (m *Metrics) Observe(st Stage, d time.Duration) { m.stages[st].Observe(d) }
 
 // Target returns the per-machine counter section for arch.
 func (m *Metrics) Target(a target.Arch) *TargetCounters { return &m.targets[a] }
@@ -128,15 +95,15 @@ type StageSnapshot struct {
 	Hist trace.HistSnapshot `json:"hist"`
 }
 
-func stageSnap(h *trace.Histogram) StageSnapshot {
-	s := h.Snapshot()
+// stageOf summarizes a histogram, quantiles computed from its buckets.
+func stageOf(h trace.HistSnapshot) StageSnapshot {
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return StageSnapshot{
-		Count: s.Count,
-		P50Us: us(s.P50()),
-		P95Us: us(s.P95()),
-		P99Us: us(s.P99()),
-		Hist:  s,
+		Count: h.Count,
+		P50Us: us(h.P50()),
+		P95Us: us(h.P95()),
+		P99Us: us(h.P99()),
+		Hist:  h,
 	}
 }
 
@@ -154,8 +121,8 @@ type TargetSnapshot struct {
 	Run        StageSnapshot     `json:"run"`
 }
 
-// Snapshot is a point-in-time copy of the counters plus the cache
-// section the server fills in.
+// Snapshot is a point-in-time copy of the metrics. Each scalar and
+// reason-family field is declared in Table, which every surface walks.
 type Snapshot struct {
 	JobsSubmitted   uint64 `json:"jobs_submitted"`
 	JobsRun         uint64 `json:"jobs_run"`
@@ -165,15 +132,15 @@ type Snapshot struct {
 	Translations    uint64 `json:"translations"`
 	SimInsts        uint64 `json:"sim_insts"`
 	SimCycles       uint64 `json:"sim_cycles"`
-	QueueDepth      int64  `json:"queue_depth"`
+	QueueDepth      uint64 `json:"queue_depth"`
 
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheCoalesced uint64 `json:"cache_coalesced"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheEvictions uint64 `json:"cache_evictions"`
 	CacheRejected  uint64 `json:"cache_rejected"`
-	CacheEntries   int    `json:"cache_entries"`
-	CacheBytes     int64  `json:"cache_bytes"`
+	CacheEntries   uint64 `json:"cache_entries"`
+	CacheBytes     uint64 `json:"cache_bytes"`
 
 	CacheDiskHits        uint64 `json:"cache_disk_hits"`
 	CacheDiskWrites      uint64 `json:"cache_disk_writes"`
@@ -238,34 +205,14 @@ type ClusterSnapshot struct {
 	Peers     []PeerStats `json:"peers,omitempty"`
 }
 
-// Snapshot copies the live counters (without the cache section).
+// Snapshot copies the live metrics. The translation cache's counters
+// are not in m; the server adds them (Counters.AddTo).
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		JobsSubmitted:   m.JobsSubmitted.Load(),
-		JobsRun:         m.JobsRun.Load(),
-		JobsFailed:      m.JobsFailed.Load(),
-		FaultsContained: m.FaultsContained.Load(),
-		Timeouts:        m.Timeouts.Load(),
-		Translations:    m.Translations.Load(),
-		SimInsts:        m.SimInsts.Load(),
-		SimCycles:       m.SimCycles.Load(),
-		QueueDepth:      m.QueueDepth.Load(),
-		AuditPass:       m.AuditPass.Load(),
-		AuditWarns:      map[string]uint64{},
-		AuditRejects:    map[string]uint64{},
-		Stages: map[string]StageSnapshot{
-			"decode":     stageSnap(&m.Decode),
-			"audit":      stageSnap(&m.Audit),
-			"queue_wait": stageSnap(&m.QueueWait),
-			"translate":  stageSnap(&m.Translate),
-			"peer_fetch": stageSnap(&m.PeerFetch),
-			"verify":     stageSnap(&m.Verify),
-			"run":        stageSnap(&m.Run),
-		},
-	}
-	for i, r := range AuditReasons {
-		s.AuditWarns[r] = m.auditWarns[i].Load()
-		s.AuditRejects[r] = m.auditRejects[i].Load()
+	var s Snapshot
+	m.AddTo(&s)
+	s.Stages = make(map[string]StageSnapshot, NumStages)
+	for i, n := range StageNames {
+		s.Stages[n] = stageOf(m.stages[i].Snapshot())
 	}
 	for a := range m.targets {
 		tc := &m.targets[a]
@@ -273,7 +220,7 @@ func (m *Metrics) Snapshot() Snapshot {
 			Target: target.Arch(a).String(),
 			Jobs:   tc.Jobs.Load(),
 			Counts: map[string]uint64{},
-			Run:    stageSnap(&tc.Run),
+			Run:    stageOf(tc.Run.Snapshot()),
 		}
 		var attr target.Attribution
 		var counts [target.NumCats]uint64
@@ -292,52 +239,30 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// MergeSnapshots adds two snapshots counter-wise — the fleet
+// MergeSnapshots adds two snapshots metric-wise — the fleet
 // aggregation primitive behind /v1/cluster/metrics and omniload's
-// multi-node reports. Counters and gauges sum; stage and per-target
-// histograms merge bucket-wise (HistSnapshot.Add) with quantiles
-// recomputed from the merged buckets, never averaged; cluster sections
-// merge per peer address. The inputs are not mutated.
+// multi-node reports. Every Table metric sums, gauges included, and
+// reason families sum key-wise; stage and per-target histograms merge
+// bucket-wise (HistSnapshot.Add) with quantiles recomputed from the
+// merged buckets, never averaged; cluster sections merge per peer
+// address. The inputs are not mutated.
 func MergeSnapshots(a, b Snapshot) Snapshot {
 	out := a
-	out.JobsSubmitted += b.JobsSubmitted
-	out.JobsRun += b.JobsRun
-	out.JobsFailed += b.JobsFailed
-	out.FaultsContained += b.FaultsContained
-	out.Timeouts += b.Timeouts
-	out.Translations += b.Translations
-	out.SimInsts += b.SimInsts
-	out.SimCycles += b.SimCycles
-	out.QueueDepth += b.QueueDepth
-	out.CacheHits += b.CacheHits
-	out.CacheCoalesced += b.CacheCoalesced
-	out.CacheMisses += b.CacheMisses
-	out.CacheEvictions += b.CacheEvictions
-	out.CacheRejected += b.CacheRejected
-	out.CacheEntries += b.CacheEntries
-	out.CacheBytes += b.CacheBytes
-	out.CacheDiskHits += b.CacheDiskHits
-	out.CacheDiskWrites += b.CacheDiskWrites
-	out.CacheDiskQuarantines += b.CacheDiskQuarantines
-	out.CacheDisagreements += b.CacheDisagreements
-	out.CachePeerHits += b.CachePeerHits
-	out.CachePeerQuarantines += b.CachePeerQuarantines
-	out.CacheSpotChecks += b.CacheSpotChecks
-	out.CacheSpotCheckFails += b.CacheSpotCheckFails
-	out.CacheAudits += b.CacheAudits
-	out.CacheAuditHits += b.CacheAuditHits
-	out.CacheAuditDiskWrites += b.CacheAuditDiskWrites
-	out.CacheAuditQuarantines += b.CacheAuditQuarantines
-	out.AuditPass += b.AuditPass
-	out.AuditWarns = mergeReasons(a.AuditWarns, b.AuditWarns)
-	out.AuditRejects = mergeReasons(a.AuditRejects, b.AuditRejects)
+	for i := range Table {
+		d := &Table[i]
+		if d.Reasons == nil {
+			*d.field(&out) += d.Value(&b)
+			continue
+		}
+		*d.family(&out) = combineReasons(d.ByReason(&a), d.ByReason(&b), add)
+	}
 
 	out.Stages = map[string]StageSnapshot{}
 	for n, st := range a.Stages {
 		out.Stages[n] = st
 	}
 	for n, st := range b.Stages {
-		out.Stages[n] = mergeStage(out.Stages[n], st)
+		out.Stages[n] = stageOf(out.Stages[n].Hist.Add(st.Hist))
 	}
 
 	out.Targets = nil
@@ -364,7 +289,7 @@ func MergeSnapshots(a, b Snapshot) Snapshot {
 			for k, v := range ts.Counts {
 				t.Counts[k] += v
 			}
-			t.Run = mergeStage(t.Run, ts.Run)
+			t.Run = stageOf(t.Run.Hist.Add(ts.Run.Hist))
 			if t.Insts > 0 {
 				t.SandboxPct = 100 * float64(t.Sandbox) / float64(t.Insts)
 			}
@@ -376,35 +301,53 @@ func MergeSnapshots(a, b Snapshot) Snapshot {
 	return out
 }
 
-// mergeReasons sums two reason-split maps key-wise, preserving the
-// pre-registered zero keys; nil in, nil out (hand-built snapshots).
-func mergeReasons(a, b map[string]uint64) map[string]uint64 {
-	if a == nil && b == nil {
-		return nil
+// Sub returns the interval from prev to s, two snapshots of one
+// server: counters and reason families subtract, saturating at zero
+// across a restart; gauges keep s's level; stage histograms subtract
+// bucket-wise with quantiles recomputed. Targets and the cluster
+// section are s's.
+func (s Snapshot) Sub(prev Snapshot) Snapshot {
+	out := s
+	for i := range Table {
+		d := &Table[i]
+		switch {
+		case d.Reasons != nil:
+			*d.family(&out) = combineReasons(d.ByReason(&s), d.ByReason(&prev), sub)
+		case !d.Gauge:
+			*d.field(&out) = sub(d.Value(&s), d.Value(&prev))
+		}
 	}
-	out := map[string]uint64{}
-	for k, v := range a {
-		out[k] += v
-	}
-	for k, v := range b {
-		out[k] += v
+	out.Stages = make(map[string]StageSnapshot, len(s.Stages))
+	for n, st := range s.Stages {
+		out.Stages[n] = stageOf(st.Hist.Sub(prev.Stages[n].Hist))
 	}
 	return out
 }
 
-// mergeStage merges two stage summaries: counts sum, histograms add
-// bucket-wise, and the quantiles are recomputed from the merged
-// buckets.
-func mergeStage(a, b StageSnapshot) StageSnapshot {
-	h := a.Hist.Add(b.Hist)
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return StageSnapshot{
-		Count: a.Count + b.Count,
-		P50Us: us(h.P50()),
-		P95Us: us(h.P95()),
-		P99Us: us(h.P99()),
-		Hist:  h,
+func add(a, b uint64) uint64 { return a + b }
+
+// sub is a counter's interval, saturating at zero across a restart.
+func sub(a, b uint64) uint64 {
+	if a > b {
+		return a - b
 	}
+	return 0
+}
+
+// combineReasons applies op key-wise over two reason splits, keeping
+// the pre-registered zero keys; nil in, nil out (hand-built snapshots).
+func combineReasons(a, b map[string]uint64, op func(x, y uint64) uint64) map[string]uint64 {
+	if a == nil && b == nil {
+		return nil
+	}
+	out := map[string]uint64{}
+	for k := range a {
+		out[k] = op(a[k], b[k])
+	}
+	for k := range b {
+		out[k] = op(a[k], b[k])
+	}
+	return out
 }
 
 // mergeCluster merges two cluster sections per peer address: counters
@@ -475,46 +418,30 @@ func (s Snapshot) HitRate() float64 {
 }
 
 // Text renders the snapshot as fixed-order "name value" lines: the
-// counter block first (stable since the first serving release), then
-// stage latency lines, then one attribution line per active target.
+// Table metrics first (a family one line per reason, named in the
+// singular, e.g. audit_warn_stack; peer-fill counters only when
+// clustered), then the hit rate and cluster lines, stage latency
+// lines, and one attribution line per active target.
 func (s Snapshot) Text() string {
 	var b strings.Builder
 	w := func(name string, v any) { fmt.Fprintf(&b, "%-18s %v\n", name, v) }
-	w("jobs_submitted", s.JobsSubmitted)
-	w("jobs_run", s.JobsRun)
-	w("jobs_failed", s.JobsFailed)
-	w("faults_contained", s.FaultsContained)
-	w("timeouts", s.Timeouts)
-	w("translations", s.Translations)
-	w("sim_insts", s.SimInsts)
-	w("sim_cycles", s.SimCycles)
-	w("queue_depth", s.QueueDepth)
-	w("cache_hits", s.CacheHits)
-	w("cache_coalesced", s.CacheCoalesced)
-	w("cache_misses", s.CacheMisses)
-	w("cache_evictions", s.CacheEvictions)
-	w("cache_rejected", s.CacheRejected)
-	w("cache_entries", s.CacheEntries)
-	w("cache_bytes", s.CacheBytes)
-	w("cache_disk_hits", s.CacheDiskHits)
-	w("cache_disk_writes", s.CacheDiskWrites)
-	w("cache_disk_quarantines", s.CacheDiskQuarantines)
-	w("cache_disagreements", s.CacheDisagreements)
-	w("cache_audits", s.CacheAudits)
-	w("cache_audit_hits", s.CacheAuditHits)
-	w("cache_audit_quarantines", s.CacheAuditQuarantines)
-	w("audit_pass", s.AuditPass)
-	for _, r := range AuditReasons {
-		w("audit_warn_"+r, s.AuditWarns[r])
+	clustered := s.Cluster != nil
+	for i := range Table {
+		if d := &Table[i]; d.Peer && d.Value(&s) > 0 {
+			clustered = true
+		}
 	}
-	for _, r := range AuditReasons {
-		w("audit_reject_"+r, s.AuditRejects[r])
-	}
-	if s.Cluster != nil || s.CachePeerHits+s.CachePeerQuarantines+s.CacheSpotChecks > 0 {
-		w("cache_peer_hits", s.CachePeerHits)
-		w("cache_peer_quarantines", s.CachePeerQuarantines)
-		w("cache_spot_checks", s.CacheSpotChecks)
-		w("cache_spot_check_fails", s.CacheSpotCheckFails)
+	for i := range Table {
+		d := &Table[i]
+		switch {
+		case d.Peer && !clustered:
+		case d.Reasons != nil:
+			for _, r := range d.Reasons {
+				w(strings.TrimSuffix(d.Name, "s")+"_"+r, d.ByReason(&s)[r])
+			}
+		default:
+			w(d.Name, d.Value(&s))
+		}
 	}
 	w("cache_hit_rate", fmt.Sprintf("%.2f", s.HitRate()))
 	if s.Cluster != nil {
@@ -526,7 +453,7 @@ func (s Snapshot) Text() string {
 				p.Peer, p.Hits, p.Quarantines, p.Errors, p.Pushes, p.StalenessMs)
 		}
 	}
-	for _, name := range stageOrder(s.Stages) {
+	for _, name := range StageOrder(s.Stages) {
 		st := s.Stages[name]
 		fmt.Fprintf(&b, "stage_%-12s count=%d p50=%.0fus p95=%.0fus p99=%.0fus\n",
 			name, st.Count, st.P50Us, st.P95Us, st.P99Us)
@@ -541,10 +468,10 @@ func (s Snapshot) Text() string {
 	return b.String()
 }
 
-// stageOrder returns StageNames restricted to the stages present in
-// the map (hand-built snapshots in tests may carry a subset), in the
-// canonical order, followed by any extras sorted by name.
-func stageOrder(stages map[string]StageSnapshot) []string {
+// StageOrder returns the stage names present in stages (hand-built
+// snapshots may carry a subset) in StageNames order, followed by any
+// extras sorted by name.
+func StageOrder[V any](stages map[string]V) []string {
 	var out []string
 	seen := map[string]bool{}
 	for _, n := range StageNames {

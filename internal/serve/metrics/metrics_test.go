@@ -13,16 +13,16 @@ import (
 
 func TestSnapshotCopiesCounters(t *testing.T) {
 	var m Metrics
-	m.JobsSubmitted.Add(7)
-	m.JobsRun.Add(5)
-	m.JobsFailed.Add(2)
-	m.FaultsContained.Add(1)
-	m.Timeouts.Add(1)
-	m.Translations.Add(3)
-	m.SimInsts.Add(1000)
-	m.SimCycles.Add(1500)
-	m.QueueDepth.Add(4)
-	m.QueueDepth.Add(-1)
+	m.Add(JobsSubmitted, 7)
+	m.Add(JobsRun, 5)
+	m.Add(JobsFailed, 2)
+	m.Add(FaultsContained, 1)
+	m.Add(Timeouts, 1)
+	m.Add(Translations, 3)
+	m.Add(SimInsts, 1000)
+	m.Add(SimCycles, 1500)
+	m.Add(QueueDepth, 4)
+	m.Dec(QueueDepth, 1)
 
 	s := m.Snapshot()
 	if s.JobsSubmitted != 7 || s.JobsRun != 5 || s.JobsFailed != 2 ||
@@ -31,7 +31,7 @@ func TestSnapshotCopiesCounters(t *testing.T) {
 		t.Fatalf("snapshot %+v", s)
 	}
 	// The snapshot is a copy: later updates don't show in it.
-	m.JobsRun.Add(10)
+	m.Add(JobsRun, 10)
 	if s.JobsRun != 5 {
 		t.Fatal("snapshot aliased the live counters")
 	}
@@ -77,7 +77,7 @@ func TestTextFormat(t *testing.T) {
 		"cache_rejected", "cache_entries", "cache_bytes",
 		"cache_disk_hits", "cache_disk_writes", "cache_disk_quarantines",
 		"cache_disagreements",
-		"cache_audits", "cache_audit_hits", "cache_audit_quarantines",
+		"cache_audits", "cache_audit_hits", "cache_audit_disk_writes", "cache_audit_quarantines",
 		"audit_pass",
 		"audit_warn_stack", "audit_warn_cost", "audit_warn_capability", "audit_warn_recursion",
 		"audit_reject_stack", "audit_reject_cost", "audit_reject_capability", "audit_reject_recursion",
@@ -107,8 +107,8 @@ func TestTextFormat(t *testing.T) {
 // they ran at least one job.
 func TestTextStageAndTargetLines(t *testing.T) {
 	var m Metrics
-	m.QueueWait.Observe(100 * time.Microsecond)
-	m.Run.Observe(3 * time.Millisecond)
+	m.Observe(StageQueueWait, 100*time.Microsecond)
+	m.Observe(StageRun, 3*time.Millisecond)
 	tc := m.Target(target.MIPS)
 	tc.AddRun(target.Result{
 		Insts: 120,
@@ -156,7 +156,7 @@ func TestTextStageAndTargetLines(t *testing.T) {
 
 func TestSnapshotJSONFieldNames(t *testing.T) {
 	var m Metrics
-	m.JobsRun.Add(1)
+	m.Add(JobsRun, 1)
 	m.Target(target.SPARC).AddRun(target.Result{Insts: 5}, time.Millisecond)
 	raw, err := json.Marshal(m.Snapshot())
 	if err != nil {
@@ -201,12 +201,12 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				m.JobsSubmitted.Add(1)
-				m.QueueDepth.Add(1)
-				m.Run.Observe(time.Millisecond)
+				m.Add(JobsSubmitted, 1)
+				m.Add(QueueDepth, 1)
+				m.Observe(StageRun, time.Millisecond)
 				m.Target(target.X86).AddRun(target.Result{Insts: 3}, time.Millisecond)
 				_ = m.Snapshot()
-				m.QueueDepth.Add(-1)
+				m.Dec(QueueDepth, 1)
 			}
 		}()
 	}

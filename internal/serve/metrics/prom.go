@@ -10,74 +10,42 @@ import (
 )
 
 // Prom renders the snapshot in the Prometheus text exposition format
-// (version 0.0.4): counters as omni_*_total, gauges bare, stage
+// (version 0.0.4): the Table metrics in order, counters as
+// omni_*_total, gauges bare, reason families with a reason label; stage
 // latencies as cumulative histograms in seconds, and per-target
 // instruction attribution as labelled counters. The output is what
 // GET /v1/metrics serves when the scraper asks for
 // "text/plain; version=0.0.4".
 func (s Snapshot) Prom() string {
 	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP omni_%s %s\n# TYPE omni_%s counter\nomni_%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v string) {
-		fmt.Fprintf(&b, "# HELP omni_%s %s\n# TYPE omni_%s gauge\nomni_%s %s\n", name, help, name, name, v)
-	}
-
-	counter("jobs_submitted_total", "Jobs accepted into the queue.", s.JobsSubmitted)
-	counter("jobs_run_total", "Jobs that finished cleanly.", s.JobsRun)
-	counter("jobs_failed_total", "Jobs that failed (fault, budget, timeout, bad input).", s.JobsFailed)
-	counter("faults_contained_total", "Failed jobs whose fault the server absorbed.", s.FaultsContained)
-	counter("timeouts_total", "Jobs killed by the per-job deadline.", s.Timeouts)
-	counter("translations_total", "Load-time translations performed for jobs.", s.Translations)
-	counter("sim_insts_total", "Native instructions simulated across jobs.", s.SimInsts)
-	counter("sim_cycles_total", "Simulated pipeline cycles across jobs.", s.SimCycles)
-	gauge("queue_depth", "Jobs submitted but not yet finished.", strconv.FormatInt(s.QueueDepth, 10))
-
-	counter("cache_hits_total", "Translation cache memory hits.", s.CacheHits)
-	counter("cache_coalesced_total", "Lookups that waited on an in-flight translation.", s.CacheCoalesced)
-	counter("cache_misses_total", "Lookups that translated.", s.CacheMisses)
-	counter("cache_evictions_total", "LRU evictions.", s.CacheEvictions)
-	counter("cache_rejected_total", "Programs the SFI verifier refused to admit.", s.CacheRejected)
-	gauge("cache_entries", "Live cache entries.", strconv.Itoa(s.CacheEntries))
-	gauge("cache_bytes", "Code bytes held by the cache.", strconv.FormatInt(s.CacheBytes, 10))
-	counter("cache_disk_hits_total", "Disk-tier hits (re-verified on read).", s.CacheDiskHits)
-	counter("cache_disk_writes_total", "Disk-tier write-throughs.", s.CacheDiskWrites)
-	counter("cache_disk_quarantines_total", "Disk entries quarantined after failing re-verification.", s.CacheDiskQuarantines)
-	counter("cache_disagreements_total", "Dual-gate admissions where the two SFI verifiers split the verdict.", s.CacheDisagreements)
-
-	// Audit pipeline and gate outcomes. The reason label set is closed
-	// (AuditReasons) and every series is pre-registered at zero.
-	counter("cache_audits_total", "Audit pipeline runs (memoization misses).", s.CacheAudits)
-	counter("cache_audit_hits_total", "Audit reports served memoized.", s.CacheAuditHits)
-	counter("cache_audit_disk_writes_total", "Audit reports written through to the persistent tier.", s.CacheAuditDiskWrites)
-	counter("cache_audit_quarantines_total", "Stored audits that disagreed with re-derivation and were set aside.", s.CacheAuditQuarantines)
-	counter("audit_pass_total", "Uploads the audit gate admitted without violation.", s.AuditPass)
-	fmt.Fprintf(&b, "# HELP omni_audit_warns_total Warn-mode audit violations by reason.\n# TYPE omni_audit_warns_total counter\n")
-	for _, r := range AuditReasons {
-		fmt.Fprintf(&b, "omni_audit_warns_total{reason=%q} %d\n", r, s.AuditWarns[r])
-	}
-	fmt.Fprintf(&b, "# HELP omni_audit_rejects_total Enforce-mode audit rejections by reason.\n# TYPE omni_audit_rejects_total counter\n")
-	for _, r := range AuditReasons {
-		fmt.Fprintf(&b, "omni_audit_rejects_total{reason=%q} %d\n", r, s.AuditRejects[r])
+	for i := range Table {
+		d := &Table[i]
+		name, typ := "omni_"+d.Name, "gauge"
+		if !d.Gauge {
+			name, typ = name+"_total", "counter"
+		}
+		promHeader(&b, name, d.Help, typ)
+		if d.Reasons == nil {
+			fmt.Fprintf(&b, "%s %d\n", name, d.Value(&s))
+			continue
+		}
+		for _, r := range d.Reasons {
+			fmt.Fprintf(&b, "%s{reason=%q} %d\n", name, r, d.ByReason(&s)[r])
+		}
 	}
 
-	// Cluster peer-fill counters: totals always (they are part of the
-	// cache contract), per-peer series only when running clustered.
-	counter("cache_peer_hits_total", "Translations admitted from cluster peers (re-verified on arrival).", s.CachePeerHits)
-	counter("cache_peer_quarantines_total", "Peer candidates refused by the admission gate or spot check.", s.CachePeerQuarantines)
-	counter("cache_spot_checks_total", "Peer admissions sampled for retranslation equality.", s.CacheSpotChecks)
-	counter("cache_spot_check_fails_total", "Spot checks where the peer program was not the local translation.", s.CacheSpotCheckFails)
+	// Per-peer series only when running clustered.
 	if c := s.Cluster; c != nil {
-		counter("cluster_failovers_total", "Exec requests re-routed after a member failure.", c.Failovers)
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_hits_total Peer-fill admissions by supplying peer.\n# TYPE omni_cluster_peer_hits_total counter\n")
+		promHeader(&b, "omni_cluster_failovers_total", "Exec requests re-routed after a member failure.", "counter")
+		fmt.Fprintf(&b, "omni_cluster_failovers_total %d\n", c.Failovers)
+		promHeader(&b, "omni_cluster_peer_hits_total", "Peer-fill admissions by supplying peer.", "counter")
 		for _, p := range c.Peers {
 			fmt.Fprintf(&b, "omni_cluster_peer_hits_total{peer=%q} %d\n", p.Peer, p.Hits)
 		}
 		// Quarantines carry the reason label when the split is known
 		// (every reason pre-registered at zero); a snapshot without the
 		// split falls back to the reason-blind per-peer series.
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_quarantines_total Peer candidates quarantined by supplying peer and reason.\n# TYPE omni_cluster_peer_quarantines_total counter\n")
+		promHeader(&b, "omni_cluster_peer_quarantines_total", "Peer candidates quarantined by supplying peer and reason.", "counter")
 		for _, p := range c.Peers {
 			if len(p.QuarantinesByReason) == 0 {
 				fmt.Fprintf(&b, "omni_cluster_peer_quarantines_total{peer=%q} %d\n", p.Peer, p.Quarantines)
@@ -88,15 +56,15 @@ func (s Snapshot) Prom() string {
 					p.Peer, reason, p.QuarantinesByReason[reason])
 			}
 		}
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_errors_total Transport or protocol failures probing a peer.\n# TYPE omni_cluster_peer_errors_total counter\n")
+		promHeader(&b, "omni_cluster_peer_errors_total", "Transport or protocol failures probing a peer.", "counter")
 		for _, p := range c.Peers {
 			fmt.Fprintf(&b, "omni_cluster_peer_errors_total{peer=%q} %d\n", p.Peer, p.Errors)
 		}
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_pushes_total Hot-entry replications sent to a peer.\n# TYPE omni_cluster_peer_pushes_total counter\n")
+		promHeader(&b, "omni_cluster_peer_pushes_total", "Hot-entry replications sent to a peer.", "counter")
 		for _, p := range c.Peers {
 			fmt.Fprintf(&b, "omni_cluster_peer_pushes_total{peer=%q} %d\n", p.Peer, p.Pushes)
 		}
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_staleness_ms Milliseconds since a peer last answered; -1 means never.\n# TYPE omni_cluster_peer_staleness_ms gauge\n")
+		promHeader(&b, "omni_cluster_peer_staleness_ms", "Milliseconds since a peer last answered; -1 means never.", "gauge")
 		for _, p := range c.Peers {
 			fmt.Fprintf(&b, "omni_cluster_peer_staleness_ms{peer=%q} %d\n", p.Peer, p.StalenessMs)
 		}
@@ -104,29 +72,34 @@ func (s Snapshot) Prom() string {
 
 	// Stage latency histograms share one metric family with a stage
 	// label, cumulative buckets in seconds.
-	fmt.Fprintf(&b, "# HELP omni_stage_latency_seconds Pipeline stage latency.\n# TYPE omni_stage_latency_seconds histogram\n")
-	for _, name := range stageOrder(s.Stages) {
+	promHeader(&b, "omni_stage_latency_seconds", "Pipeline stage latency.", "histogram")
+	for _, name := range StageOrder(s.Stages) {
 		writePromHist(&b, "omni_stage_latency_seconds", `stage="`+name+`"`, s.Stages[name].Hist)
 	}
 
 	// Per-target dynamic instruction attribution: the live overhead
 	// tables, one counter per (target, category) plus the derived
 	// sandbox-overhead percentage.
-	fmt.Fprintf(&b, "# HELP omni_target_jobs_total Jobs run per target machine.\n# TYPE omni_target_jobs_total counter\n")
+	promHeader(&b, "omni_target_jobs_total", "Jobs run per target machine.", "counter")
 	for _, ts := range s.Targets {
 		fmt.Fprintf(&b, "omni_target_jobs_total{target=%q} %d\n", ts.Target, ts.Jobs)
 	}
-	fmt.Fprintf(&b, "# HELP omni_target_insts_total Dynamic instructions per target by expansion category.\n# TYPE omni_target_insts_total counter\n")
+	promHeader(&b, "omni_target_insts_total", "Dynamic instructions per target by expansion category.", "counter")
 	for _, ts := range s.Targets {
 		for _, cat := range catOrder(ts.Counts) {
 			fmt.Fprintf(&b, "omni_target_insts_total{target=%q,cat=%q} %d\n", ts.Target, cat, ts.Counts[cat])
 		}
 	}
-	fmt.Fprintf(&b, "# HELP omni_target_sandbox_pct Percentage of dynamic instructions spent on SFI checks.\n# TYPE omni_target_sandbox_pct gauge\n")
+	promHeader(&b, "omni_target_sandbox_pct", "Percentage of dynamic instructions spent on SFI checks.", "gauge")
 	for _, ts := range s.Targets {
 		fmt.Fprintf(&b, "omni_target_sandbox_pct{target=%q} %s\n", ts.Target, promFloat(ts.SandboxPct))
 	}
 	return b.String()
+}
+
+// promHeader writes the HELP and TYPE lines of one metric family.
+func promHeader(b *strings.Builder, name, help, typ string) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
 // writePromHist emits one labelled series of a histogram family:

@@ -30,9 +30,9 @@ func promLines(t *testing.T, text string) map[string]string {
 
 func TestPromCountersAndGauges(t *testing.T) {
 	var m Metrics
-	m.JobsSubmitted.Add(9)
-	m.JobsRun.Add(7)
-	m.QueueDepth.Add(2)
+	m.Add(JobsSubmitted, 9)
+	m.Add(JobsRun, 7)
+	m.Add(QueueDepth, 2)
 	s := m.Snapshot()
 	s.CacheDiskWrites = 4
 
@@ -64,9 +64,9 @@ func TestPromCountersAndGauges(t *testing.T) {
 // and report _sum in seconds.
 func TestPromHistogramCumulative(t *testing.T) {
 	var m Metrics
-	m.Run.Observe(500 * time.Nanosecond) // bucket 0 (1µs)
-	m.Run.Observe(3 * time.Microsecond)  // bucket 2 (4µs)
-	m.Run.Observe(3 * time.Microsecond)
+	m.Observe(StageRun, 500*time.Nanosecond) // bucket 0 (1µs)
+	m.Observe(StageRun, 3*time.Microsecond)  // bucket 2 (4µs)
+	m.Observe(StageRun, 3*time.Microsecond)
 	s := m.Snapshot()
 	series := promLines(t, s.Prom())
 
@@ -173,9 +173,9 @@ func TestPromAuditPreRegistered(t *testing.T) {
 
 	// Counting keeps the closed set: an unknown reason is dropped, a
 	// known one lands on its series.
-	m.AuditReject("stack")
-	m.AuditReject("made-up")
-	m.AuditWarn("cost")
+	m.AddReason(AuditRejects, "stack")
+	m.AddReason(AuditRejects, "made-up")
+	m.AddReason(AuditWarns, "cost")
 	s = m.Snapshot()
 	if s.AuditRejects["stack"] != 1 || s.AuditWarns["cost"] != 1 {
 		t.Errorf("counts = %v / %v, want stack reject 1, cost warn 1", s.AuditRejects, s.AuditWarns)

@@ -9,6 +9,7 @@ import (
 	"omniware/internal/mcache"
 	"omniware/internal/ovm"
 	"omniware/internal/serve"
+	"omniware/internal/serve/metrics"
 	"omniware/internal/target"
 	"omniware/internal/translate"
 )
@@ -111,12 +112,12 @@ func TestConcurrentWorkloadParity(t *testing.T) {
 	// interleave; everything else was a hit or a coalesced wait.
 	nkeys := uint64((len(units) + 1) * len(target.Machines()))
 	total := uint64(len(jobs))
-	cs := cache.Stats()
-	if cs.Misses != nkeys {
-		t.Errorf("misses = %d, want one per key (%d)", cs.Misses, nkeys)
+	cs := cache.Counters()
+	if n := cs.Load(metrics.CacheMisses); n != nkeys {
+		t.Errorf("misses = %d, want one per key (%d)", n, nkeys)
 	}
-	if cs.Hits+cs.Coalesced != total-nkeys {
-		t.Errorf("hits+coalesced = %d+%d, want %d", cs.Hits, cs.Coalesced, total-nkeys)
+	if h, c := cs.Load(metrics.CacheHits), cs.Load(metrics.CacheCoalesced); h+c != total-nkeys {
+		t.Errorf("hits+coalesced = %d+%d, want %d", h, c, total-nkeys)
 	}
 	snap := s.Snapshot()
 	if snap.JobsRun+snap.JobsFailed != total || snap.QueueDepth != 0 {

@@ -7,6 +7,7 @@ import (
 	"omniware/internal/cc"
 	"omniware/internal/core"
 	"omniware/internal/mcache"
+	"omniware/internal/serve/metrics"
 	"omniware/internal/sfi"
 	"omniware/internal/target"
 	"omniware/internal/translate"
@@ -156,8 +157,9 @@ func TestMutatedTranslationRejectedByCache(t *testing.T) {
 				if !strings.Contains(err.Error(), mu.why) {
 					t.Errorf("rejection reason mismatch: want %q in %v", mu.why, err)
 				}
-				if s := c2.Stats(); s.Rejected != 1 || s.Entries != 0 {
-					t.Errorf("cache state after rejection: %+v", s)
+				if s := c2.Counters(); s.Load(metrics.CacheRejected) != 1 || s.Load(metrics.CacheEntries) != 0 {
+					t.Errorf("cache state after rejection: %d rejected, %d entries",
+						s.Load(metrics.CacheRejected), s.Load(metrics.CacheEntries))
 				}
 			})
 		}
