@@ -372,17 +372,10 @@ func Validate(r *Report) error {
 			bad("malformed alloc stat %+v", a)
 		}
 	}
-	for _, c := range []struct {
-		name string
-		n    uint64
-	}{
-		{"cache_rejected", r.Server.CacheRejected},
-		{"cache_disagreements", r.Server.CacheDisagreements},
-		{"cache_disk_quarantines", r.Server.CacheDiskQuarantines},
-		{"cache_spot_check_fails", r.Server.CacheSpotCheckFails},
-	} {
-		if c.n != 0 {
-			bad("correctness counter %s = %d, want 0", c.name, c.n)
+	sv := reflect.ValueOf(r.Server)
+	for _, id := range []metrics.ID{metrics.CacheRejected, metrics.CacheDisagreements, metrics.CacheDiskQuarantines, metrics.CacheSpotCheckFails} {
+		if n := sv.Field(deltaField[id]).Uint(); n != 0 {
+			bad("correctness counter %s = %d, want 0", metrics.Table[id].Name, n)
 		}
 	}
 	seenPeer := map[string]bool{}
