@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"omniware/internal/load"
@@ -34,17 +35,23 @@ func TestBenchSubcommand(t *testing.T) {
 		t.Fatalf("exec: %s", stderr)
 	}
 
-	// ...then run two jobs inside a bench window driven concurrently.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runCtl(t, "exec", "-addr", addr, "-module", up.Hash, "-target", "mips")
-		runCtl(t, "exec", "-addr", addr, "-module", up.Hash, "-target", "x86")
-	}()
-	code, stdout, stderr = runCtl(t, "bench", "-addr", addr, "-duration", "3s")
-	<-done
+	// ...then run two jobs inside a bench window, once bench has taken
+	// its opening snapshot (its first stderr line follows it).
+	var out strings.Builder
+	errw := &signalWriter{opened: make(chan struct{})}
+	done := make(chan int, 1)
+	go func() { done <- run([]string{"bench", "-addr", addr, "-duration", "3s"}, &out, errw) }()
+	select {
+	case <-errw.opened:
+	case code = <-done:
+		t.Fatalf("bench exit %d before its window opened: %s", code, errw.String())
+	}
+	runCtl(t, "exec", "-addr", addr, "-module", up.Hash, "-target", "mips")
+	runCtl(t, "exec", "-addr", addr, "-module", up.Hash, "-target", "x86")
+	code = <-done
+	stdout = out.String()
 	if code != 0 {
-		t.Fatalf("bench exit %d: %s", code, stderr)
+		t.Fatalf("bench exit %d: %s", code, errw.String())
 	}
 	for _, want := range []string{"window 3s", "server", "stage run"} {
 		if !strings.Contains(stdout, want) {
@@ -67,4 +74,16 @@ func TestBenchSubcommand(t *testing.T) {
 	if d.JobsRun != 0 {
 		t.Fatalf("empty window counted %d jobs", d.JobsRun)
 	}
+}
+
+// signalWriter collects output and closes opened on the first write.
+type signalWriter struct {
+	strings.Builder
+	once   sync.Once
+	opened chan struct{}
+}
+
+func (w *signalWriter) Write(p []byte) (int, error) {
+	defer w.once.Do(func() { close(w.opened) })
+	return w.Builder.Write(p)
 }
