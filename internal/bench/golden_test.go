@@ -91,7 +91,10 @@ func goldenRuns(t *testing.T) []byte {
 // (arr's second page, when the program has an arr), handled and not,
 // in plain code and in a delay slot; a jump through a code pointer no
 // code address maps to; and a loop whose output depends on _clock(),
-// which reads the cycle count mid-run.
+// which reads the cycle count mid-run. The rest reach opcodes the bench
+// workloads barely touch: signed narrow loads, single-precision FP,
+// register shift amounts of 32 and more, division by zero, and stores
+// faulting from a delay slot.
 var edgeCases = []struct {
 	name, config string
 	opt          translate.Options
@@ -145,6 +148,143 @@ int main(void) {
 	f = (void (*)(void))0x40000000;
 	f();
 	return 1;
+}`},
+	// Signed byte and halfword loads (Lb, Lh) beside their unsigned
+	// forms, over values with the sign bit set.
+	{"sext", "sfi", translate.Paper(true), 2, `
+char cb[8];
+short hb[8];
+unsigned char ub[8];
+unsigned short uh[8];
+int main(void) {
+	int i, s = 0;
+	for (i = 0; i < 8; i++) {
+		cb[i] = i * 37 - 128;
+		hb[i] = i * 9001 - 32768;
+		ub[i] = i * 37 + 100;
+		uh[i] = i * 9001 + 1000;
+	}
+	for (i = 0; i < 8; i++) {
+		s = s * 3 + cb[i];
+		s = s * 5 + hb[i];
+		s = s * 7 + ub[i];
+		s = s * 11 + uh[i];
+		_print_int(cb[i]);
+		_print_int(hb[i]);
+	}
+	_print_int(s);
+	return s & 127;
+}`},
+	// Single-precision arithmetic, negation and conversions, with a NaN
+	// and values outside int's range truncated (NaN to 0, the rest
+	// clamped).
+	{"float", "sfi", translate.Paper(true), 2, `
+float fa[8];
+float fz;
+double da[4];
+int main(void) {
+	int i, n = 0;
+	float x, y;
+	for (i = 0; i < 8; i++)
+		fa[i] = (float)(i * 3 + 1) / 4.0f;
+	for (i = 0; i < 7; i++) {
+		x = fa[i];
+		y = fa[i + 1];
+		n = n * 7 + (int)((x + y) * 1000.0f);
+		n = n * 7 + (int)((x - y) * 1000.0f);
+		n = n * 7 + (int)((x * y) * 1000.0f);
+		n = n * 7 + (int)((x / y) * 1000.0f);
+		n = n * 7 + (int)(-x * 100.0f);
+	}
+	x = fz / fz;
+	_print_int((int)x);
+	x = fa[7] * 1.0e20f;
+	_print_int((int)x);
+	_print_int((int)-x);
+	da[0] = fa[3];
+	da[1] = da[0] * 1.0e12;
+	_print_int((int)da[1]);
+	fa[0] = (float)da[1];
+	_print_int((int)(fa[0] / 1.0e9f));
+	fa[1] = (float)n;
+	_print_int((int)fa[1]);
+	_print_int(n);
+	return n & 127;
+}`},
+	// Shifts by a register amount, including amounts of 32 and more
+	// (the OmniVM masks the amount to five bits).
+	{"shift", "sfi", translate.Paper(true), 2, `
+int amt[16];
+int main(void) {
+	unsigned u = 0x80000001, s = 0;
+	int v = -8, i;
+	for (i = 0; i < 16; i++)
+		amt[i] = i * 5;
+	for (i = 0; i < 16; i++) {
+		s = s * 31 + (u << amt[i]);
+		s = s * 31 + (u >> amt[i]);
+		s = s * 31 + (unsigned)(v >> amt[i]);
+	}
+	_print_uint(s);
+	return s & 127;
+}`},
+	// Division and remainder by zero, signed and unsigned, with and
+	// without a handler.
+	{"div-unhandled", "sfi", translate.Paper(true), 2, `
+int d;
+int main(void) {
+	int n = 100, i;
+	for (i = 0; i < 4; i++)
+		n = n / (d + 3 - i) + 7;
+	return n;
+}`},
+	{"div-handled", "sfi", translate.Paper(true), 2, `
+unsigned d;
+void on_fault(void) { _exit(58); }
+int main(void) {
+	unsigned n = 100;
+	int i;
+	_set_handler((int)on_fault);
+	for (i = 0; i < 4; i++)
+		n = n / (d + 3 - i) + 7;
+	return n;
+}`},
+	{"rem-unhandled", "sfi", translate.Paper(true), 2, `
+unsigned d;
+int main(void) {
+	unsigned n = 100;
+	int i;
+	for (i = 0; i < 4; i++)
+		n = n % (d + 3 - i) + 7;
+	return n;
+}`},
+	{"rem-handled", "sfi", translate.Paper(true), 2, `
+int d;
+void on_fault(void) { _exit(59); }
+int main(void) {
+	int n = 100, i;
+	_set_handler((int)on_fault);
+	for (i = 0; i < 4; i++)
+		n = n % (d + 3 - i) + 7;
+	return n;
+}`},
+	// Stores that fault as unmapped and as unaligned from the loop
+	// branch's delay slot on MIPS and SPARC (slot-* above fault on a
+	// protected page).
+	{"slot-unmapped", "nosfi", translate.Paper(false), 2, `
+int main(void) {
+	int k = 0;
+	while (k < 100) { k++; *(int *)0x70000000 = k; }
+	return k;
+}`},
+	{"slot-unaligned", "nosfi", translate.Paper(false), 2, `
+char arr[64];
+void on_fault(void) { _exit(60); }
+int main(void) {
+	int k = 0;
+	_set_handler((int)on_fault);
+	while (k < 100) { k++; *(int *)(arr + 2) = k; }
+	return k;
 }`},
 	{"clock", "sfi", translate.Paper(true), 2, `
 int main(void) {
