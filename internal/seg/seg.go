@@ -378,10 +378,14 @@ func (m *Memory) check(addr uint32, size int, acc Access) (*Segment, uint32, *Fa
 	return s, addr - s.Base, nil
 }
 
-// hit returns the backing bytes of the page addr lies in if the TLB
+// Hit returns the backing bytes of the page addr lies in if the TLB
 // admits a load (need = Read) or store (need = Write) of size bytes
-// there, else nil.
-func (m *Memory) hit(addr uint32, size int, need Perm) *[PageSize]byte {
+// there, else nil; Fill then checks the access. It makes no call, so
+// it inlines into an executor's load and store paths, where LoadU8
+// and its siblings cannot: any function that also calls Fill costs
+// more than the compiler's inlining budget. Bytes may be written
+// through the page only when need is Write.
+func (m *Memory) Hit(addr uint32, size int, need Perm) *[PageSize]byte {
 	// One compare tests the page and the alignment: the mask keeps
 	// the page bits and the bits a misaligned address sets.
 	if e := &m.tlb[addr/PageSize%tlbEntries]; addr&(^uint32(PageSize-1)|uint32(size-1)) == e.base && e.perms&need != 0 {
@@ -390,9 +394,10 @@ func (m *Memory) hit(addr uint32, size int, need Perm) *[PageSize]byte {
 	return nil
 }
 
-// fill checks an access the TLB did not admit, reporting any fault
-// exactly as an uncached access would, and on success caches the page.
-func (m *Memory) fill(addr uint32, size int, need Perm) (*[PageSize]byte, *Fault) {
+// Fill checks an access Hit did not admit, reporting any fault exactly
+// as LoadU8..StoreU64 would, and on success caches the page and
+// returns its backing bytes. A store fill marks the page dirty first.
+func (m *Memory) Fill(addr uint32, size int, need Perm) (*[PageSize]byte, *Fault) {
 	acc := AccLoad
 	if need == Write {
 		acc = AccStore
@@ -413,10 +418,10 @@ func (m *Memory) fill(addr uint32, size int, need Perm) (*[PageSize]byte, *Fault
 
 // LoadU8 loads a byte.
 func (m *Memory) LoadU8(addr uint32) (uint8, *Fault) {
-	p := m.hit(addr, 1, Read)
+	p := m.Hit(addr, 1, Read)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 1, Read); f != nil {
+		if p, f = m.Fill(addr, 1, Read); f != nil {
 			return 0, f
 		}
 	}
@@ -425,10 +430,10 @@ func (m *Memory) LoadU8(addr uint32) (uint8, *Fault) {
 
 // LoadU16 loads a little-endian halfword.
 func (m *Memory) LoadU16(addr uint32) (uint16, *Fault) {
-	p := m.hit(addr, 2, Read)
+	p := m.Hit(addr, 2, Read)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 2, Read); f != nil {
+		if p, f = m.Fill(addr, 2, Read); f != nil {
 			return 0, f
 		}
 	}
@@ -437,10 +442,10 @@ func (m *Memory) LoadU16(addr uint32) (uint16, *Fault) {
 
 // LoadU32 loads a little-endian word.
 func (m *Memory) LoadU32(addr uint32) (uint32, *Fault) {
-	p := m.hit(addr, 4, Read)
+	p := m.Hit(addr, 4, Read)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 4, Read); f != nil {
+		if p, f = m.Fill(addr, 4, Read); f != nil {
 			return 0, f
 		}
 	}
@@ -449,10 +454,10 @@ func (m *Memory) LoadU32(addr uint32) (uint32, *Fault) {
 
 // LoadU64 loads a little-endian doubleword.
 func (m *Memory) LoadU64(addr uint32) (uint64, *Fault) {
-	p := m.hit(addr, 8, Read)
+	p := m.Hit(addr, 8, Read)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 8, Read); f != nil {
+		if p, f = m.Fill(addr, 8, Read); f != nil {
 			return 0, f
 		}
 	}
@@ -461,10 +466,10 @@ func (m *Memory) LoadU64(addr uint32) (uint64, *Fault) {
 
 // StoreU8 stores a byte.
 func (m *Memory) StoreU8(addr uint32, v uint8) *Fault {
-	p := m.hit(addr, 1, Write)
+	p := m.Hit(addr, 1, Write)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 1, Write); f != nil {
+		if p, f = m.Fill(addr, 1, Write); f != nil {
 			return f
 		}
 	}
@@ -474,10 +479,10 @@ func (m *Memory) StoreU8(addr uint32, v uint8) *Fault {
 
 // StoreU16 stores a little-endian halfword.
 func (m *Memory) StoreU16(addr uint32, v uint16) *Fault {
-	p := m.hit(addr, 2, Write)
+	p := m.Hit(addr, 2, Write)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 2, Write); f != nil {
+		if p, f = m.Fill(addr, 2, Write); f != nil {
 			return f
 		}
 	}
@@ -487,10 +492,10 @@ func (m *Memory) StoreU16(addr uint32, v uint16) *Fault {
 
 // StoreU32 stores a little-endian word.
 func (m *Memory) StoreU32(addr uint32, v uint32) *Fault {
-	p := m.hit(addr, 4, Write)
+	p := m.Hit(addr, 4, Write)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 4, Write); f != nil {
+		if p, f = m.Fill(addr, 4, Write); f != nil {
 			return f
 		}
 	}
@@ -500,10 +505,10 @@ func (m *Memory) StoreU32(addr uint32, v uint32) *Fault {
 
 // StoreU64 stores a little-endian doubleword.
 func (m *Memory) StoreU64(addr uint32, v uint64) *Fault {
-	p := m.hit(addr, 8, Write)
+	p := m.Hit(addr, 8, Write)
 	if p == nil {
 		var f *Fault
-		if p, f = m.fill(addr, 8, Write); f != nil {
+		if p, f = m.Fill(addr, 8, Write); f != nil {
 			return f
 		}
 	}

@@ -332,6 +332,94 @@ func TestTLBStoresStayTracked(t *testing.T) {
 	}
 }
 
+// The inlinable path an executor takes, Hit with Fill on a miss, keeps
+// the TLB's guarantees: a page a load filled admits no store until a
+// store's Fill has checked it and marked it dirty, a misaligned access
+// never hits, and after Protect, Unmap or Reset nothing hits and the
+// next Fill faults or refills exactly as an uncached access would.
+func TestHitFillKeepGuarantees(t *testing.T) {
+	p, err := NewPooledSegment("p", 0x10000, 2*PageSize, Read|Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Memory
+	if err := m.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	const a = 0x10000 + PageSize + 8 // page 1
+	if m.Hit(a, 4, Read) != nil || m.Hit(a, 4, Write) != nil {
+		t.Fatal("an empty TLB admitted an access")
+	}
+	if pg, f := m.Fill(a, 4, Read); f != nil || pg == nil {
+		t.Fatalf("load fill: %v", f)
+	}
+	if m.Hit(a, 4, Read) == nil {
+		t.Error("a load missed the page a load filled")
+	}
+	if m.Hit(a, 4, Write) != nil || m.Hit(a+4, 1, Write) != nil {
+		t.Error("a page only a load filled admitted a store unchecked")
+	}
+	if p.dirty[0] != 0 {
+		t.Fatalf("dirty bits %b before any store", p.dirty[0])
+	}
+	pg, f := m.Fill(a, 4, Write)
+	if f != nil {
+		t.Fatal(f)
+	}
+	if p.dirty[0] != 1<<1 {
+		t.Errorf("dirty bits %b after a store fill of page 1, want 10", p.dirty[0])
+	}
+	if m.Hit(a, 4, Write) != pg || m.Hit(a, 8, Read) != pg {
+		t.Error("a store-filled page of a readable segment misses stores or loads")
+	}
+	pg[a%PageSize] = 7
+	if v, f := m.LoadU32(a); f != nil || v != 7 {
+		t.Errorf("checked load after a write through the page: %d, %v, want 7", v, f)
+	}
+	if m.Hit(a+2, 4, Read) != nil || m.Hit(a+1, 2, Write) != nil {
+		t.Error("a misaligned access hit a cached page")
+	}
+	if _, f := m.Fill(a+2, 4, Read); f == nil || f.Kind != FaultUnaligned {
+		t.Errorf("misaligned fill: %v, want an unaligned fault", f)
+	}
+
+	if err := m.Protect(0x10000+PageSize, PageSize, Read); err != nil {
+		t.Fatal(err)
+	}
+	if m.Hit(a, 4, Read) != nil || m.Hit(a, 4, Write) != nil {
+		t.Error("the TLB admitted an access after Protect")
+	}
+	if _, f := m.Fill(a, 4, Write); f == nil || f.Kind != FaultProt {
+		t.Errorf("store fill after Protect made the page read-only: %v, want a protection fault", f)
+	}
+	if _, f := m.Fill(a, 4, Read); f != nil || m.Hit(a, 4, Write) != nil {
+		t.Errorf("load fill of the read-only page: %v, or it admitted a store", f)
+	}
+
+	m.Reset()
+	if m.Hit(a, 4, Read) != nil {
+		t.Error("the TLB admitted a load after Reset")
+	}
+	if _, f := m.Fill(a, 4, Read); f == nil || f.Kind != FaultUnmapped {
+		t.Errorf("fill after Reset: %v, want an unmapped fault", f)
+	}
+	if err := m.Attach(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, f := m.Fill(0x10000, 4, Write); f != nil || m.Hit(0x10000, 4, Write) == nil {
+		t.Fatalf("store fill after re-attaching: %v", f)
+	}
+	if err := m.Unmap(0x10000); err != nil {
+		t.Fatal(err)
+	}
+	if m.Hit(0x10000, 4, Write) != nil {
+		t.Error("the TLB admitted a store after Unmap")
+	}
+	if _, f := m.Fill(0x10000, 4, Write); f == nil || f.Kind != FaultUnmapped {
+		t.Errorf("fill after Unmap: %v, want an unmapped fault", f)
+	}
+}
+
 // Faults the TLB could mask: a misaligned access to a cached page and
 // an access past the end of a cached segment.
 func TestTLBKeepsFaultKinds(t *testing.T) {
