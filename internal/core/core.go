@@ -218,7 +218,7 @@ func (h *Host) Release() {
 	h.Env = nil
 	h.layv = hostapi.Layout{}
 	h.envv = hostapi.Env{}
-	h.sim = target.Sim{}
+	h.sim.Release()
 	h.Mem.Reset()
 	h.out.Reset()
 	h.capture = false

@@ -157,8 +157,8 @@ func TestCodeBytesCountPredecodedTable(t *testing.T) {
 		t.Errorf("cache_bytes = %d, want %d (%d instructions, %d index entries, %d table bytes)",
 			got, want, len(prog.Code), len(prog.OmniToNative), tables)
 	}
-	if tables < int64(len(prog.Code))*8 {
-		t.Errorf("predecoded tables of %d instructions counted as %d bytes, less than their issue facts", len(prog.Code), tables)
+	if tables < int64(len(prog.Code))*(8+16) {
+		t.Errorf("predecoded tables of %d instructions counted as %d bytes, less than their issue facts and micro-ops", len(prog.Code), tables)
 	}
 	h, err := core.NewHost(mod, cfg)
 	if err != nil {

@@ -237,14 +237,17 @@ func predecodeInst(in *Inst, c *costModel) issueFact {
 	return f
 }
 
-// issueTable is a program's predecoded issue facts and regions under
-// one cost model, with the identity of the code it was built from.
+// issueTable is a program's predecoded issue facts, micro-ops and
+// regions under one cost model, with the identity of the code it was
+// built from.
 type issueTable struct {
 	code  *Inst
 	n     int
 	cost  costModel
 	delay bool // regions follow the delay-slot machines' transfers
+	zero  Reg  // the machine's ZeroReg, which the micro-ops discard writes to
 	facts []issueFact
+	uops  []uop
 	// at maps an instruction index to the region it starts, or -1.
 	at      []int32
 	regions []region
@@ -258,8 +261,8 @@ type issueTable struct {
 // predecode returns p's table on m. The table is built on first use
 // and published atomically, so concurrent runs of one program share it
 // and its memo; a table built from different code (a copy of the
-// Program with its own Code) or for a different cost model or
-// delay-slot discipline is rebuilt, never reused.
+// Program with its own Code) or for a different cost model, delay-slot
+// discipline or zero register is rebuilt, never reused.
 func (p *Program) predecode(m *Machine) *issueTable {
 	c := costModelOf(m)
 	var code *Inst
@@ -267,12 +270,14 @@ func (p *Program) predecode(m *Machine) *issueTable {
 		code = &p.Code[0]
 	}
 	t := (*issueTable)(atomic.LoadPointer(&p.issue))
-	if t != nil && t.code == code && t.n == len(p.Code) && t.cost == c && t.delay == m.HasDelaySlot {
+	if t != nil && t.code == code && t.n == len(p.Code) && t.cost == c && t.delay == m.HasDelaySlot && t.zero == m.ZeroReg {
 		return t
 	}
-	t = &issueTable{code: code, n: len(p.Code), cost: c, delay: m.HasDelaySlot, facts: make([]issueFact, len(p.Code))}
+	t = &issueTable{code: code, n: len(p.Code), cost: c, delay: m.HasDelaySlot, zero: m.ZeroReg,
+		facts: make([]issueFact, len(p.Code)), uops: make([]uop, len(p.Code))}
 	for i := range p.Code {
 		t.facts[i] = predecodeInst(&p.Code[i], &c)
+		t.uops[i] = decodeUop(&p.Code[i], m.ZeroReg)
 	}
 	buildRegions(t, p)
 	atomic.StorePointer(&p.issue, unsafe.Pointer(t))

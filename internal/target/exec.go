@@ -1,6 +1,7 @@
 package target
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -71,13 +72,23 @@ type Sim struct {
 	// its data segment.
 	StoreTrace func(addr, size uint32, faulted bool)
 
-	r  [32]uint32  // integer file
-	f  [32]float64 // FP file (indexed by reg-32)
-	ia uint32      // latched integer compare operands
+	// The register files, indexed by micro-op register slot: r holds
+	// the integer registers at 0..31, f the FP registers at 32..63, and
+	// both read 0 at rZero. They span a uint8's range so indexing by
+	// a slot needs no bounds check.
+	r  [256]uint32
+	f  [256]float64
+	ia uint32 // latched integer compare operands
 	ib uint32
 	fa float64 // latched FP compare operands
 	fb float64
 
+	ops []uop // the program's micro-ops, set by Run
+	// runs counts each region's completed executions during Run, which
+	// folds them into counts as it returns and leaves them zero. Reset
+	// and Release keep the buffer, so a pooled simulator allocates it
+	// once.
+	runs     []uint64
 	pc       int32
 	insts    uint64
 	nextPoll uint64 // insts threshold for the next Interrupt check
@@ -105,11 +116,16 @@ func New(m *Machine, prog *Program, mem *seg.Memory, env *hostapi.Env) *Sim {
 // clears every piece of run state (registers, counters, pipeline
 // clock); the tail mirrors New exactly.
 func (s *Sim) Reset(m *Machine, prog *Program, mem *seg.Memory, env *hostapi.Env) {
-	*s = Sim{M: m, Prog: prog, Mem: mem, Env: env, pc: prog.Entry}
+	*s = Sim{M: m, Prog: prog, Mem: mem, Env: env, pc: prog.Entry, runs: s.runs}
 	s.pipe.init(m)
 	s.SetIntReg(14, env.Layout.StackTop)
 	s.SetIntReg(15, 0x7fffffff)
 }
+
+// Release drops everything a finished run refers to (its machine,
+// program, memory, environment and hooks), so a pooled simulator pins
+// none of them between runs, and keeps its buffers for the next Reset.
+func (s *Sim) Release() { *s = Sim{runs: s.runs} }
 
 // regSaveAddr is the memory slot of OmniVM integer register i.
 func (s *Sim) regSaveAddr(i int) uint32 {
@@ -140,7 +156,7 @@ func (s *Sim) SetIntReg(i int, v uint32) {
 // FPReg returns OmniVM FP register i.
 func (s *Sim) FPReg(i int) float64 {
 	if r := s.M.OmniFP[i]; r != NoReg {
-		return s.f[r-32]
+		return s.f[r]
 	}
 	v, _ := s.Mem.LoadU64(s.Env.Layout.RegSave + FPSlotOffset(i))
 	return math.Float64frombits(v)
@@ -149,7 +165,7 @@ func (s *Sim) FPReg(i int) float64 {
 // SetFPReg sets OmniVM FP register i.
 func (s *Sim) SetFPReg(i int, v float64) {
 	if r := s.M.OmniFP[i]; r != NoReg {
-		s.f[r-32] = v
+		s.f[r] = v
 		return
 	}
 	s.Mem.StoreU64(s.Env.Layout.RegSave+FPSlotOffset(i), math.Float64bits(v))
@@ -158,43 +174,11 @@ func (s *Sim) SetFPReg(i int, v float64) {
 // Cycles returns elapsed simulated cycles.
 func (s *Sim) Cycles() uint64 { return s.pipe.clock }
 
-// reg reads integer register r (NoReg reads as 0, covering absolute
-// addressing and the zero-register image).
-func (s *Sim) reg(r Reg) uint32 {
-	if r == NoReg {
-		return 0
-	}
-	return s.r[r]
-}
-
-// setR writes integer register r; writes to NoReg and to the
-// hardwired zero register are discarded.
-func (s *Sim) setR(r Reg, v uint32) {
-	if r == NoReg || r == s.M.ZeroReg {
-		return
-	}
-	s.r[r] = v
-}
-
-func (s *Sim) fp(r Reg) float64 {
-	if r < 32 {
-		return 0
-	}
-	return s.f[r-32]
-}
-
-func (s *Sim) setF(r Reg, v float64) {
-	if r >= 32 {
-		s.f[r-32] = v
-	}
-}
-
 func (s *Sim) result(exit int32, faulted bool, fault string) Result {
 	return Result{
 		ExitCode: exit,
 		Insts:    s.insts,
 		Cycles:   s.Cycles(),
-		Counts:   s.counts,
 		Faulted:  faulted,
 		Fault:    fault,
 	}
@@ -223,21 +207,15 @@ func (s *Sim) exception(kind, addr uint32, src int32, desc string) (Result, bool
 	return Result{}, false
 }
 
-// account charges one executed instruction to the statistics and the
-// pipeline model.
-func (s *Sim) account(in *Inst, f *issueFact) {
-	s.insts++
-	s.counts[in.Cat]++
-	s.pipe.issue(f)
-}
-
 // accountRange charges the instructions from..to-1 one at a time: an
 // instruction stepped outside a region, or the issued prefix of a
 // region an exception cut short.
-func (s *Sim) accountRange(from, to int32, facts []issueFact) {
+func (s *Sim) accountRange(t *issueTable, from, to int32) {
 	code := s.Prog.Code
 	for pc := from; pc < to; pc++ {
-		s.account(&code[pc], &facts[pc])
+		s.insts++
+		s.counts[code[pc].Cat]++
+		s.pipe.issue(&t.facts[pc])
 	}
 }
 
@@ -283,11 +261,35 @@ type trap struct {
 // instruction budget. It runs a region at a time (runRegions) wherever
 // execution is at a region's first instruction and the region ends
 // before the next budget or poll stop, and steps one instruction at a
-// time elsewhere; both paths execute control transfers with transfer.
+// time elsewhere (a control transfer together with its delay slot);
+// both paths execute instructions with execRange.
 func (s *Sim) Run() (Result, error) {
 	t := s.Prog.predecode(s.M)
-	code, facts := s.Prog.Code, t.facts
-	n := int32(len(code))
+	s.ops = t.uops
+	if cap(s.runs) < len(t.regions) {
+		s.runs = make([]uint64, len(t.regions))
+	}
+	s.runs = s.runs[:len(t.regions)]
+	res, err := s.run(t)
+	for ri, k := range s.runs {
+		if k != 0 {
+			for c, n := range t.regions[ri].cats {
+				s.counts[c] += k * uint64(n)
+			}
+			s.runs[ri] = 0
+		}
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	res.Counts = s.counts
+	return res, nil
+}
+
+// run is Run, but counts each completed region in s.runs instead of
+// adding its category counts.
+func (s *Sim) run(t *issueTable) (Result, error) {
+	n := int32(len(t.uops))
 	stop := s.stop()
 	for {
 		if s.insts >= stop {
@@ -316,47 +318,52 @@ func (s *Sim) Run() (Result, error) {
 			}
 		}
 
-		in := &code[pc]
-		f := &facts[pc]
-		if f.bits&factCtl != 0 {
-			issued, tr, err := s.transfer(facts)
-			s.accountRange(pc, pc+issued, facts)
-			if err != nil {
-				return Result{}, err
-			}
-			if tr.kind != 0 {
-				if res, done := s.exception(tr.kind, tr.addr, tr.src, tr.desc); done {
-					return res, nil
-				}
-			}
-			continue
-		}
-
-		s.account(in, f)
-		switch in.Op {
+		switch u := &t.uops[pc]; u.kind {
 		case Syscall:
-			if err := s.Env.Syscall(in.Imm, s); err != nil {
+			s.accountRange(t, pc, pc+1)
+			if err := s.Env.Syscall(int32(u.imm), s); err != nil {
 				return Result{}, fmt.Errorf("target/%s: pc=%d: %w", s.M.Name, pc, err)
 			}
 			if s.Env.Exited {
 				return s.result(s.Env.ExitCode, false, ""), nil
 			}
 			s.pc++
+			continue
 		case Break:
-			if res, done := s.exception(excBreak, uint32(pc), in.Src, fmt.Sprintf("target/%s: breakpoint at %d", s.M.Name, pc)); done {
+			s.accountRange(t, pc, pc+1)
+			if res, done := s.exception(excBreak, uint32(pc), s.Prog.Code[pc].Src, fmt.Sprintf("target/%s: breakpoint at %d", s.M.Name, pc)); done {
 				return res, nil
 			}
+			continue
 		case Halt:
+			s.accountRange(t, pc, pc+1)
 			return s.result(int32(s.IntReg(1)), false, ""), nil
-		default:
-			if kind, addr, fault := s.step(in); fault {
-				if res, done := s.exception(kind, addr, in.Src, s.memFault(addr, pc)); done {
-					return res, nil
-				}
-				continue
-			}
-			s.pc++
 		}
+
+		// One instruction, or a control transfer and its delay slot.
+		// A transfer or syscall in the slot is an error (no region
+		// contains one); a transfer at the end of the code has no slot.
+		end := pc + 1
+		s.pc = pc + 1
+		if t.facts[pc].bits&factCtl != 0 && s.M.HasDelaySlot {
+			s.pc = pc + 2
+			if end < n {
+				if t.facts[end].bits&factCtl != 0 || t.uops[end].kind == Syscall {
+					s.accountRange(t, pc, pc+1)
+					return Result{}, fmt.Errorf("target/%s: control transfer in delay slot at %d", s.M.Name, end)
+				}
+				end++
+			}
+		}
+		if at, kind, addr := s.execRange(pc, end); at >= 0 {
+			s.accountRange(t, pc, at+1)
+			tr := s.trapAt(t, pc, at, kind, addr)
+			if res, done := s.exception(tr.kind, tr.addr, tr.src, tr.desc); done {
+				return res, nil
+			}
+			continue
+		}
+		s.accountRange(t, pc, end)
 	}
 }
 
@@ -366,7 +373,6 @@ func (s *Sim) Run() (Result, error) {
 // that would pass stop, or an exception, which it returns undelivered
 // after charging the instructions issued before it one at a time.
 func (s *Sim) runRegions(t *issueTable, stop uint64) trap {
-	code := s.Prog.Code
 	for {
 		pc := s.pc
 		if pc < 0 || int(pc) >= len(t.at) {
@@ -380,129 +386,461 @@ func (s *Sim) runRegions(t *issueTable, stop uint64) trap {
 		if s.insts+uint64(r.end-r.start) > stop {
 			return trap{}
 		}
-		body := r.end
-		if r.ctl >= 0 {
-			body = r.ctl
-		}
-		for pc := r.start; pc < body; pc++ {
-			if kind, addr, fault := s.step(&code[pc]); fault {
-				s.accountRange(r.start, pc+1, t.facts)
-				return trap{kind, addr, code[pc].Src, s.memFault(addr, pc)}
-			}
-		}
-		if r.ctl >= 0 {
-			s.pc = r.ctl
-			// No region holds a malformed delay slot, the one error.
-			if issued, tr, _ := s.transfer(t.facts); tr.kind != 0 {
-				s.accountRange(r.start, r.ctl+issued, t.facts)
-				return tr
-			}
-		} else {
-			s.pc = r.end
+		s.pc = r.end
+		if at, kind, addr := s.execRange(r.start, r.end); at >= 0 {
+			s.accountRange(t, r.start, at+1)
+			return s.trapAt(t, r.start, at, kind, addr)
 		}
 		s.insts += uint64(r.end - r.start)
-		for c, k := range r.cats {
-			s.counts[c] += uint64(k)
-		}
+		s.runs[ri]++
 		s.charge(t, ri, r)
 	}
 }
 
-// memFault describes a memory access or division that faulted at pc.
-func (s *Sim) memFault(addr uint32, pc int32) string {
-	return fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", s.M.Name, addr, pc)
+// trapAt describes the exception (kind, addr) the instruction at index
+// at raised in a range execRange ran from index from.
+func (s *Sim) trapAt(t *issueTable, from, at int32, kind, addr uint32) trap {
+	var desc string
+	switch {
+	case t.facts[at].bits&factCtl != 0:
+		desc = fmt.Sprintf("target/%s: bad indirect target %#x", s.M.Name, addr)
+	case at > from && t.facts[at-1].bits&factCtl != 0:
+		desc = fmt.Sprintf("target/%s: fault in delay slot at %d", s.M.Name, at)
+	default:
+		desc = fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", s.M.Name, addr, at)
+	}
+	return trap{kind, addr, s.Prog.Code[at].Src, desc}
 }
 
-// transfer executes the control transfer at s.pc and, on the
-// delay-slot machines, the instruction in its slot, and moves s.pc to
-// the instruction execution continues at. issued is how many
-// instructions executed; if one of them raised an exception, the
-// trap describes it and s.pc is left at the transfer. A transfer or
-// syscall in a delay slot is an error (no region contains one).
-func (s *Sim) transfer(facts []issueFact) (issued int32, tr trap, err error) {
-	code := s.Prog.Code
-	pc := s.pc
-	in := &code[pc]
-	taken, tgt, kind, addr := s.resolve(in)
-	if kind != 0 {
-		return 1, trap{kind, addr, in.Src, fmt.Sprintf("target/%s: bad indirect target %#x", s.M.Name, addr)}, nil
-	}
-	next := pc + 1
-	issued = 1
-	if s.M.HasDelaySlot {
-		next = pc + 2
-		if int(pc+1) < len(code) {
-			slot := &code[pc+1]
-			if facts[pc+1].bits&factCtl != 0 || slot.Op == Syscall {
-				return 1, trap{}, fmt.Errorf("target/%s: control transfer in delay slot at %d", s.M.Name, pc+1)
-			}
-			issued = 2
-			if kind, addr, fault := s.step(slot); fault {
-				return 2, trap{kind, addr, slot.Src, fmt.Sprintf("target/%s: fault in delay slot at %d", s.M.Name, pc+1)}, nil
-			}
+// A uop is one instruction predecoded for execRange. Its kind is the
+// instruction's opcode folded onto fewer cases, or opMemSrc/opMemDst
+// for the x86 register-memory forms, and its operands are register
+// slots (the physical register number, rZero or rSink):
+//
+//   - An absent source operand reads rZero, which is never written;
+//     a write to NoReg or to the machine's ZeroReg goes to rSink,
+//     which is never read. (x86 has no zero register: its register 0
+//     is EAX.)
+//   - An integer operation's second operand is r[b] + imm: a register
+//     form carries imm 0, an immediate form (and MovI, Lui, Mov, Lea)
+//     reads b as rZero; Neg is zero minus the operand.
+//   - A load or store addresses r[a] + r[b] + imm, which covers both
+//     base+imm and the Indexed base+index form; d is the loaded
+//     register, or the stored value.
+//   - opMemSrc computes d = alu(r[b], mem[r[a] + imm]); opMemDst
+//     computes mem[imm] = alu(mem[imm], r[b] + tgt), tgt carrying the
+//     register-free form's immediate operand.
+//   - A transfer branches to tgt, or to r[a] for Jalr; the
+//     unconditional ones write the link imm to d.
+type uop struct {
+	kind    Op
+	alu     Op // the ALU operation of opMemSrc/opMemDst
+	cc      CC
+	d, a, b uint8
+	imm     uint32
+	tgt     int32
+}
+
+// The kinds beside the opcodes, and the register slots beside the
+// physical registers.
+const (
+	opMemSrc = NumOps + iota
+	opMemDst
+
+	rZero = 64 // never written: reads 0
+	rSink = 65 // never read: absorbs discarded writes
+)
+
+// decodeUop predecodes in for a machine whose hardwired zero register
+// is zero (NoReg for none).
+func decodeUop(in *Inst, zero Reg) uop {
+	src := func(r Reg) uint8 { // an integer source
+		if r < 0 || r >= 32 {
+			return rZero
 		}
+		return uint8(r)
 	}
-	if taken {
-		next = tgt
+	dst := func(r Reg) uint8 { // an integer destination
+		if r < 0 || r >= 32 || r == zero {
+			return rSink
+		}
+		return uint8(r)
 	}
-	s.pc = next
-	return issued, trap{}, nil
-}
-
-// resolve evaluates a branch or jump: whether it is taken, its target
-// index, and (for indirect transfers) a pending bad-jump exception.
-func (s *Sim) resolve(in *Inst) (taken bool, tgt int32, excKind, excAddr uint32) {
-	r := &s.r
-	switch in.Op {
-	case Bcc:
-		return s.intCC(in.CC), in.Target, 0, 0
-	case FBcc:
-		return fpCC(in.CC, s.fa, s.fb), in.Target, 0, 0
-	case Beq:
-		return s.reg(in.Rs1) == s.reg(in.Rs2), in.Target, 0, 0
-	case Bne:
-		return s.reg(in.Rs1) != s.reg(in.Rs2), in.Target, 0, 0
+	fsrc := func(r Reg) uint8 {
+		if r < 32 || r >= 64 {
+			return rZero
+		}
+		return uint8(r)
+	}
+	fdst := func(r Reg) uint8 {
+		if r < 32 || r >= 64 {
+			return rSink
+		}
+		return uint8(r)
+	}
+	op := in.Op
+	u := uop{kind: op, cc: in.CC, d: dst(in.Rd), a: src(in.Rs1), b: src(in.Rs2), imm: uint32(in.Imm), tgt: in.Target}
+	switch {
+	case in.MemSrc:
+		u.kind, u.alu = opMemSrc, op
+		u.a, u.b = src(in.Rs2), src(in.Rs1)
+		return u
+	case in.MemDst:
+		u.kind, u.alu = opMemDst, op
+		u.a, u.b, u.tgt = rZero, src(in.Rs1), 0
+		if in.Rs1 == NoReg {
+			u.tgt = in.Target
+		}
+		return u
+	}
+	// Immediate forms fold onto their register forms.
+	switch op {
+	case Add, Sub, Mul, Div, DivU, Rem, RemU, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu, Cmp:
+		u.imm = 0
+	case AddI, Lea:
+		u.kind, u.b = Add, rZero
+	case AndI:
+		u.kind, u.b = And, rZero
+	case OrI:
+		u.kind, u.b = Or, rZero
+	case XorI:
+		u.kind, u.b = Xor, rZero
+	case SllI:
+		u.kind, u.b = Sll, rZero
+	case SrlI:
+		u.kind, u.b = Srl, rZero
+	case SraI:
+		u.kind, u.b = Sra, rZero
+	case SltI:
+		u.kind, u.b = Slt, rZero
+	case SltuI:
+		u.kind, u.b = Sltu, rZero
+	case CmpI, CmpUI:
+		u.kind, u.b = Cmp, rZero
+	case MovI:
+		u.kind, u.a, u.b = Add, rZero, rZero
+	case Lui:
+		u.kind, u.a, u.b, u.imm = Add, rZero, rZero, uint32(in.Imm)<<16
+	case Mov:
+		u.kind, u.b, u.imm = Add, rZero, 0
+	case Neg:
+		u.kind, u.a, u.b, u.imm = Sub, rZero, src(in.Rs1), 0
+	case Lb, Lbu, Lh, Lhu, Lw, Lf, Ld, Sb, Sh, Sw, Sf, Sd:
+		if in.Indexed {
+			u.imm = 0
+		} else {
+			u.b = rZero
+		}
+		switch op {
+		case Lf, Ld:
+			u.d = fdst(in.Rd)
+		case Sb, Sh, Sw:
+			u.d = src(in.Rd)
+		case Sf, Sd:
+			u.d = fsrc(in.Rd)
+		}
+	case FaddS, FsubS, FmulS, FdivS, FaddD, FsubD, FmulD, FdivD, Fcmp:
+		u.d, u.a, u.b = fdst(in.Rd), fsrc(in.Rs1), fsrc(in.Rs2)
+	case FnegS, FnegD, FabsS, FabsD, Fmov, CvtSD:
+		u.d, u.a = fdst(in.Rd), fsrc(in.Rs1)
+	case CvtDS:
+		u.kind, u.d, u.a = CvtSD, fdst(in.Rd), fsrc(in.Rs1)
+	case MovWF, CvtWS, CvtWD:
+		u.d = fdst(in.Rd)
+	case MovFW, CvtSW, CvtDW:
+		u.a = fsrc(in.Rs1)
 	case Beqz:
-		return s.reg(in.Rs1) == 0, in.Target, 0, 0
+		u.kind, u.b = Beq, rZero
 	case Bnez:
-		return s.reg(in.Rs1) != 0, in.Target, 0, 0
-	case Bltz:
-		return int32(s.reg(in.Rs1)) < 0, in.Target, 0, 0
-	case Blez:
-		return int32(s.reg(in.Rs1)) <= 0, in.Target, 0, 0
-	case Bgtz:
-		return int32(s.reg(in.Rs1)) > 0, in.Target, 0, 0
-	case Bgez:
-		return int32(s.reg(in.Rs1)) >= 0, in.Target, 0, 0
+		u.kind, u.b = Bne, rZero
 	case J:
-		return true, in.Target, 0, 0
-	case Jal:
-		s.setR(in.Rd, uint32(in.Imm))
-		return true, in.Target, 0, 0
+		u.kind, u.d = Jal, rSink
 	case Jr:
-		return s.indirect(r[in.Rs1])
-	case Jalr:
-		v := r[in.Rs1] // read before the link write: jalr rd, rd is legal
-		s.setR(in.Rd, uint32(in.Imm))
-		return s.indirect(v)
+		u.kind, u.d = Jalr, rSink
 	}
-	return false, 0, 0, 0
+	return u
 }
 
-// indirect maps a runtime code address (an OmniVM index for translated
-// programs, a native index otherwise) to a native instruction index.
-func (s *Sim) indirect(v uint32) (bool, int32, uint32, uint32) {
-	if o2n := s.Prog.OmniToNative; o2n != nil {
-		if v >= uint32(len(o2n)) {
-			return false, 0, excBadJump, v
+// execRange executes the instructions from..to-1 in order: plain
+// instructions, optionally ended by a control transfer and its delay
+// slot. A taken transfer sets s.pc to its target; the caller sets s.pc
+// to where execution falls through. If an instruction raises an
+// exception, execRange stops there and returns its index with the
+// exception's kind and address; otherwise at is -1. Break and Halt
+// (which only reach here in a delay slot) do nothing.
+//
+// A load or store that misses the TLB has Memory.Fill check it, which
+// caches the page or reports the fault, and then runs again.
+func (s *Sim) execRange(from, to int32) (at int32, kind, addr uint32) {
+	r, f, mem, trace := &s.r, &s.f, s.Mem, s.StoreTrace
+	ops := s.ops[from:to]
+	for i := 0; i < len(ops); i++ {
+		u := &ops[i]
+		var a uint32 // the address of a load or store that missed
+		var size int
+		var need seg.Perm
+		switch u.kind {
+		case Add:
+			r[u.d] = r[u.a] + r[u.b] + u.imm
+		case Sub:
+			r[u.d] = r[u.a] - r[u.b]
+		case Mul:
+			r[u.d] = uint32(int32(r[u.a]) * int32(r[u.b]))
+		case Div, DivU, Rem, RemU:
+			x, y := r[u.a], r[u.b]
+			if y == 0 {
+				return from + int32(i), excDivZero, 0
+			}
+			switch u.kind {
+			case Div:
+				r[u.d] = uint32(int32(x) / int32(y))
+			case DivU:
+				r[u.d] = x / y
+			case Rem:
+				r[u.d] = uint32(int32(x) % int32(y))
+			case RemU:
+				r[u.d] = x % y
+			}
+		case And:
+			r[u.d] = r[u.a] & (r[u.b] + u.imm)
+		case Or:
+			r[u.d] = r[u.a] | (r[u.b] + u.imm)
+		case Xor:
+			r[u.d] = r[u.a] ^ (r[u.b] + u.imm)
+		case Sll:
+			r[u.d] = r[u.a] << ((r[u.b] + u.imm) & 31)
+		case Srl:
+			r[u.d] = r[u.a] >> ((r[u.b] + u.imm) & 31)
+		case Sra:
+			r[u.d] = uint32(int32(r[u.a]) >> ((r[u.b] + u.imm) & 31))
+		case Slt:
+			r[u.d] = b2u(int32(r[u.a]) < int32(r[u.b]+u.imm))
+		case Sltu:
+			r[u.d] = b2u(r[u.a] < r[u.b]+u.imm)
+		case Cmp:
+			s.ia, s.ib = r[u.a], r[u.b]+u.imm
+		case Fcmp:
+			s.fa, s.fb = f[u.a], f[u.b]
+
+		// Loads and stores: the TLB hit inline, a miss below.
+		case Lb, Lbu:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 1, seg.Read); p != nil {
+				v := uint32(p[a%seg.PageSize])
+				if u.kind == Lb {
+					v = uint32(int32(int8(v)))
+				}
+				r[u.d] = v
+				continue
+			}
+			size, need = 1, seg.Read
+		case Lh, Lhu:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 2, seg.Read); p != nil {
+				v := uint32(binary.LittleEndian.Uint16(p[a%seg.PageSize:]))
+				if u.kind == Lh {
+					v = uint32(int32(int16(v)))
+				}
+				r[u.d] = v
+				continue
+			}
+			size, need = 2, seg.Read
+		case Lw:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 4, seg.Read); p != nil {
+				r[u.d] = binary.LittleEndian.Uint32(p[a%seg.PageSize:])
+				continue
+			}
+			size, need = 4, seg.Read
+		case Lf:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 4, seg.Read); p != nil {
+				f[u.d] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[a%seg.PageSize:])))
+				continue
+			}
+			size, need = 4, seg.Read
+		case Ld:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 8, seg.Read); p != nil {
+				f[u.d] = math.Float64frombits(binary.LittleEndian.Uint64(p[a%seg.PageSize:]))
+				continue
+			}
+			size, need = 8, seg.Read
+		case Sb:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 1, seg.Write); p != nil {
+				p[a%seg.PageSize] = uint8(r[u.d])
+				if trace != nil {
+					trace(a, 1, false)
+				}
+				continue
+			}
+			size, need = 1, seg.Write
+		case Sh:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 2, seg.Write); p != nil {
+				binary.LittleEndian.PutUint16(p[a%seg.PageSize:], uint16(r[u.d]))
+				if trace != nil {
+					trace(a, 2, false)
+				}
+				continue
+			}
+			size, need = 2, seg.Write
+		case Sw, Sf:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 4, seg.Write); p != nil {
+				v := r[u.d]
+				if u.kind == Sf {
+					v = math.Float32bits(float32(f[u.d]))
+				}
+				binary.LittleEndian.PutUint32(p[a%seg.PageSize:], v)
+				if trace != nil {
+					trace(a, 4, false)
+				}
+				continue
+			}
+			size, need = 4, seg.Write
+		case Sd:
+			a = r[u.a] + r[u.b] + u.imm
+			if p := mem.Hit(a, 8, seg.Write); p != nil {
+				binary.LittleEndian.PutUint64(p[a%seg.PageSize:], math.Float64bits(f[u.d]))
+				if trace != nil {
+					trace(a, 8, false)
+				}
+				continue
+			}
+			size, need = 8, seg.Write
+		case opMemSrc:
+			a = r[u.a] + u.imm
+			if p := mem.Hit(a, 4, seg.Read); p != nil {
+				r[u.d] = aluApply(u.alu, r[u.b], binary.LittleEndian.Uint32(p[a%seg.PageSize:]))
+				continue
+			}
+			size, need = 4, seg.Read
+		case opMemDst:
+			a = u.imm
+			size, need = 4, seg.Read
+			if p := mem.Hit(a, 4, seg.Read); p != nil {
+				v := aluApply(u.alu, binary.LittleEndian.Uint32(p[a%seg.PageSize:]), r[u.b]+uint32(u.tgt))
+				if p := mem.Hit(a, 4, seg.Write); p != nil {
+					binary.LittleEndian.PutUint32(p[a%seg.PageSize:], v)
+					if trace != nil {
+						trace(a, 4, false)
+					}
+					continue
+				}
+				need = seg.Write
+			}
+
+		// FP arithmetic: single-precision forms round through float32,
+		// exactly as the interpreter does.
+		case FaddS:
+			f[u.d] = float64(float32(f[u.a]) + float32(f[u.b]))
+		case FsubS:
+			f[u.d] = float64(float32(f[u.a]) - float32(f[u.b]))
+		case FmulS:
+			f[u.d] = float64(float32(f[u.a]) * float32(f[u.b]))
+		case FdivS:
+			f[u.d] = float64(float32(f[u.a]) / float32(f[u.b]))
+		case FaddD:
+			f[u.d] = f[u.a] + f[u.b]
+		case FsubD:
+			f[u.d] = f[u.a] - f[u.b]
+		case FmulD:
+			f[u.d] = f[u.a] * f[u.b]
+		case FdivD:
+			f[u.d] = f[u.a] / f[u.b]
+		case FnegS:
+			f[u.d] = float64(-float32(f[u.a]))
+		case FnegD:
+			f[u.d] = -f[u.a]
+		case FabsS:
+			f[u.d] = float64(float32(math.Abs(f[u.a])))
+		case FabsD:
+			f[u.d] = math.Abs(f[u.a])
+		case Fmov:
+			f[u.d] = f[u.a]
+		case MovWF:
+			f[u.d] = float64(math.Float32frombits(r[u.a]))
+		case MovFW:
+			r[u.d] = math.Float32bits(float32(f[u.a]))
+		case CvtWS:
+			f[u.d] = float64(float32(int32(r[u.a])))
+		case CvtWD:
+			f[u.d] = float64(int32(r[u.a]))
+		case CvtSW:
+			r[u.d] = uint32(truncToI32(float64(float32(f[u.a]))))
+		case CvtDW:
+			r[u.d] = uint32(truncToI32(f[u.a]))
+		case CvtSD:
+			f[u.d] = float64(float32(f[u.a]))
+
+		// Control transfers.
+		case Bcc:
+			if intCC(u.cc, s.ia, s.ib) {
+				s.pc = u.tgt
+			}
+		case FBcc:
+			if fpCC(u.cc, s.fa, s.fb) {
+				s.pc = u.tgt
+			}
+		case Beq:
+			if r[u.a] == r[u.b] {
+				s.pc = u.tgt
+			}
+		case Bne:
+			if r[u.a] != r[u.b] {
+				s.pc = u.tgt
+			}
+		case Bltz:
+			if int32(r[u.a]) < 0 {
+				s.pc = u.tgt
+			}
+		case Blez:
+			if int32(r[u.a]) <= 0 {
+				s.pc = u.tgt
+			}
+		case Bgtz:
+			if int32(r[u.a]) > 0 {
+				s.pc = u.tgt
+			}
+		case Bgez:
+			if int32(r[u.a]) >= 0 {
+				s.pc = u.tgt
+			}
+		case Jal:
+			r[u.d] = u.imm
+			s.pc = u.tgt
+		case Jalr:
+			v := r[u.a] // read before the link write: jalr rd, rd is legal
+			r[u.d] = u.imm
+			// A runtime code address is an OmniVM index in a translated
+			// program, a native index otherwise.
+			if o2n := s.Prog.OmniToNative; o2n == nil {
+				s.pc = int32(v)
+			} else if v < uint32(len(o2n)) {
+				s.pc = o2n[v]
+			} else {
+				return from + int32(i), excBadJump, v
+			}
 		}
-		return true, o2n[v], 0, 0
+		if size == 0 {
+			continue
+		}
+		// A TLB miss: check the access, then run the instruction again
+		// (now a hit).
+		if _, flt := mem.Fill(a, size, need); flt != nil {
+			if need == seg.Write && trace != nil {
+				trace(a, uint32(size), true)
+			}
+			return from + int32(i), faultKind(flt), a
+		}
+		i--
 	}
-	return true, int32(v), 0, 0
+	return -1, 0, 0
 }
 
-func (s *Sim) intCC(cc CC) bool {
-	a, b := s.ia, s.ib
+func intCC(cc CC, a, b uint32) bool {
 	switch cc {
 	case CCEq:
 		return a == b
@@ -544,263 +882,6 @@ func fpCC(cc CC, a, b float64) bool {
 		return a >= b
 	}
 	return false
-}
-
-// effAddr computes a load/store address.
-func (s *Sim) effAddr(in *Inst) uint32 {
-	if in.Indexed {
-		return s.reg(in.Rs1) + s.reg(in.Rs2)
-	}
-	return s.reg(in.Rs1) + uint32(in.Imm)
-}
-
-// step executes one non-control instruction. It returns a pending
-// exception (kind, addr) with fault=true if a memory access failed or
-// a division trapped.
-func (s *Sim) step(in *Inst) (kind, addr uint32, fault bool) {
-	// The x86 register-memory forms carry ordinary ALU opcodes
-	// (register or immediate form) with a memory operand flag.
-	if in.MemSrc || in.MemDst {
-		return s.memALU(in)
-	}
-	switch in.Op {
-	case Nop:
-
-	// Three-register ALU.
-	case Add:
-		s.setR(in.Rd, s.reg(in.Rs1)+s.reg(in.Rs2))
-	case Sub:
-		s.setR(in.Rd, s.reg(in.Rs1)-s.reg(in.Rs2))
-	case Mul:
-		s.setR(in.Rd, uint32(int32(s.reg(in.Rs1))*int32(s.reg(in.Rs2))))
-	case Div, DivU, Rem, RemU:
-		b := s.reg(in.Rs2)
-		if b == 0 {
-			return excDivZero, 0, true
-		}
-		a := s.reg(in.Rs1)
-		switch in.Op {
-		case Div:
-			s.setR(in.Rd, uint32(int32(a)/int32(b)))
-		case DivU:
-			s.setR(in.Rd, a/b)
-		case Rem:
-			s.setR(in.Rd, uint32(int32(a)%int32(b)))
-		case RemU:
-			s.setR(in.Rd, a%b)
-		}
-	case And:
-		s.setR(in.Rd, s.reg(in.Rs1)&s.reg(in.Rs2))
-	case Or:
-		s.setR(in.Rd, s.reg(in.Rs1)|s.reg(in.Rs2))
-	case Xor:
-		s.setR(in.Rd, s.reg(in.Rs1)^s.reg(in.Rs2))
-	case Sll:
-		s.setR(in.Rd, s.reg(in.Rs1)<<(s.reg(in.Rs2)&31))
-	case Srl:
-		s.setR(in.Rd, s.reg(in.Rs1)>>(s.reg(in.Rs2)&31))
-	case Sra:
-		s.setR(in.Rd, uint32(int32(s.reg(in.Rs1))>>(s.reg(in.Rs2)&31)))
-	case Slt:
-		s.setR(in.Rd, b2u(int32(s.reg(in.Rs1)) < int32(s.reg(in.Rs2))))
-	case Sltu:
-		s.setR(in.Rd, b2u(s.reg(in.Rs1) < s.reg(in.Rs2)))
-
-	// Register-immediate ALU. The x86 MemSrc and MemDst forms reuse
-	// the ALU opcodes with a memory operand.
-	case AddI:
-		s.setR(in.Rd, s.reg(in.Rs1)+uint32(in.Imm))
-	case AndI:
-		s.setR(in.Rd, s.reg(in.Rs1)&uint32(in.Imm))
-	case OrI:
-		s.setR(in.Rd, s.reg(in.Rs1)|uint32(in.Imm))
-	case XorI:
-		s.setR(in.Rd, s.reg(in.Rs1)^uint32(in.Imm))
-	case SllI:
-		s.setR(in.Rd, s.reg(in.Rs1)<<(uint32(in.Imm)&31))
-	case SrlI:
-		s.setR(in.Rd, s.reg(in.Rs1)>>(uint32(in.Imm)&31))
-	case SraI:
-		s.setR(in.Rd, uint32(int32(s.reg(in.Rs1))>>(uint32(in.Imm)&31)))
-	case SltI:
-		s.setR(in.Rd, b2u(int32(s.reg(in.Rs1)) < in.Imm))
-	case SltuI:
-		s.setR(in.Rd, b2u(s.reg(in.Rs1) < uint32(in.Imm)))
-
-	// Constants and moves.
-	case MovI:
-		s.setR(in.Rd, uint32(in.Imm))
-	case Mov:
-		s.setR(in.Rd, s.reg(in.Rs1))
-	case Lui:
-		s.setR(in.Rd, uint32(in.Imm)<<16)
-	case Lea:
-		s.setR(in.Rd, s.reg(in.Rs1)+uint32(in.Imm))
-	case Neg:
-		s.setR(in.Rd, -s.reg(in.Rs1))
-
-	// Memory.
-	case Lb, Lbu, Lh, Lhu, Lw, Lf, Ld, Sb, Sh, Sw, Sf, Sd:
-		return s.mem(in, s.effAddr(in))
-
-	// FP arithmetic: single-precision forms round through float32,
-	// exactly as the interpreter does.
-	case FaddS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))+float32(s.fp(in.Rs2))))
-	case FsubS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))-float32(s.fp(in.Rs2))))
-	case FmulS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))*float32(s.fp(in.Rs2))))
-	case FdivS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))/float32(s.fp(in.Rs2))))
-	case FaddD:
-		s.setF(in.Rd, s.fp(in.Rs1)+s.fp(in.Rs2))
-	case FsubD:
-		s.setF(in.Rd, s.fp(in.Rs1)-s.fp(in.Rs2))
-	case FmulD:
-		s.setF(in.Rd, s.fp(in.Rs1)*s.fp(in.Rs2))
-	case FdivD:
-		s.setF(in.Rd, s.fp(in.Rs1)/s.fp(in.Rs2))
-	case FnegS:
-		s.setF(in.Rd, float64(-float32(s.fp(in.Rs1))))
-	case FnegD:
-		s.setF(in.Rd, -s.fp(in.Rs1))
-	case FabsS:
-		s.setF(in.Rd, float64(float32(math.Abs(s.fp(in.Rs1)))))
-	case FabsD:
-		s.setF(in.Rd, math.Abs(s.fp(in.Rs1)))
-	case Fmov:
-		s.setF(in.Rd, s.fp(in.Rs1))
-	case MovWF:
-		s.setF(in.Rd, float64(math.Float32frombits(s.reg(in.Rs1))))
-	case MovFW:
-		s.setR(in.Rd, math.Float32bits(float32(s.fp(in.Rs1))))
-
-	case CvtWS:
-		s.setF(in.Rd, float64(float32(int32(s.reg(in.Rs1)))))
-	case CvtWD:
-		s.setF(in.Rd, float64(int32(s.reg(in.Rs1))))
-	case CvtSW:
-		s.setR(in.Rd, uint32(truncToI32(float64(float32(s.fp(in.Rs1))))))
-	case CvtDW:
-		s.setR(in.Rd, uint32(truncToI32(s.fp(in.Rs1))))
-	case CvtSD, CvtDS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))))
-
-	// Compares latch operands; the CC on the branch decides how they
-	// are interpreted.
-	case Cmp:
-		s.ia, s.ib = s.reg(in.Rs1), s.reg(in.Rs2)
-	case CmpI, CmpUI:
-		s.ia, s.ib = s.reg(in.Rs1), uint32(in.Imm)
-	case Fcmp:
-		s.fa, s.fb = s.fp(in.Rs1), s.fp(in.Rs2)
-	}
-	return 0, 0, false
-}
-
-// mem executes a plain load or store at addr.
-func (s *Sim) mem(in *Inst, addr uint32) (uint32, uint32, bool) {
-	var flt *seg.Fault
-	switch in.Op {
-	case Lb:
-		var v uint8
-		if v, flt = s.Mem.LoadU8(addr); flt == nil {
-			s.setR(in.Rd, uint32(int32(int8(v))))
-		}
-	case Lbu:
-		var v uint8
-		if v, flt = s.Mem.LoadU8(addr); flt == nil {
-			s.setR(in.Rd, uint32(v))
-		}
-	case Lh:
-		var v uint16
-		if v, flt = s.Mem.LoadU16(addr); flt == nil {
-			s.setR(in.Rd, uint32(int32(int16(v))))
-		}
-	case Lhu:
-		var v uint16
-		if v, flt = s.Mem.LoadU16(addr); flt == nil {
-			s.setR(in.Rd, uint32(v))
-		}
-	case Lw:
-		var v uint32
-		if v, flt = s.Mem.LoadU32(addr); flt == nil {
-			s.setR(in.Rd, v)
-		}
-	case Lf:
-		var v uint32
-		if v, flt = s.Mem.LoadU32(addr); flt == nil {
-			s.setF(in.Rd, float64(math.Float32frombits(v)))
-		}
-	case Ld:
-		var v uint64
-		if v, flt = s.Mem.LoadU64(addr); flt == nil {
-			s.setF(in.Rd, math.Float64frombits(v))
-		}
-	case Sb:
-		flt = s.Mem.StoreU8(addr, uint8(s.reg(in.Rd)))
-	case Sh:
-		flt = s.Mem.StoreU16(addr, uint16(s.reg(in.Rd)))
-	case Sw:
-		flt = s.Mem.StoreU32(addr, s.reg(in.Rd))
-	case Sf:
-		flt = s.Mem.StoreU32(addr, math.Float32bits(float32(s.fp(in.Rd))))
-	case Sd:
-		flt = s.Mem.StoreU64(addr, math.Float64bits(s.fp(in.Rd)))
-	}
-	if s.StoreTrace != nil && in.Op.IsStore() {
-		s.StoreTrace(addr, storeSize(in.Op), flt != nil)
-	}
-	if flt != nil {
-		return faultKind(flt), addr, true
-	}
-	return 0, 0, false
-}
-
-// storeSize is the byte width of a store opcode.
-func storeSize(op Op) uint32 {
-	switch op {
-	case Sb:
-		return 1
-	case Sh:
-		return 2
-	case Sd:
-		return 8
-	}
-	return 4
-}
-
-// memALU executes the x86 register-memory forms: MemSrc computes
-// rd = op(rs1, mem[rs2+imm]); MemDst computes mem[imm] op= operand,
-// where the operand is rs1 or (register-free form) Target.
-func (s *Sim) memALU(in *Inst) (uint32, uint32, bool) {
-	if in.MemSrc {
-		addr := s.reg(in.Rs2) + uint32(in.Imm)
-		v, flt := s.Mem.LoadU32(addr)
-		if flt != nil {
-			return faultKind(flt), addr, true
-		}
-		s.setR(in.Rd, aluApply(in.Op, s.reg(in.Rs1), v))
-		return 0, 0, false
-	}
-	addr := uint32(in.Imm)
-	v, flt := s.Mem.LoadU32(addr)
-	if flt != nil {
-		return faultKind(flt), addr, true
-	}
-	operand := uint32(in.Target)
-	if in.Rs1 != NoReg {
-		operand = s.reg(in.Rs1)
-	}
-	flt = s.Mem.StoreU32(addr, aluApply(in.Op, v, operand))
-	if s.StoreTrace != nil {
-		s.StoreTrace(addr, 4, flt != nil)
-	}
-	if flt != nil {
-		return faultKind(flt), addr, true
-	}
-	return 0, 0, false
 }
 
 // aluApply evaluates a two-operand ALU operation for the

@@ -243,17 +243,20 @@ func TestProgramRunsConcurrently(t *testing.T) {
 }
 
 // The predecoded table keeps each instruction's issue facts in 8
-// bytes, and Predecode reports every byte the table's slices hold plus
-// a full memo.
+// bytes and its micro-op in 16, and Predecode reports every byte the
+// table's slices hold plus a full memo.
 func TestPredecodeEntrySize(t *testing.T) {
 	if got := reflect.TypeOf(issueFact{}).Size(); got != 8 {
 		t.Errorf("issueFact is %d bytes, want 8", got)
+	}
+	if got := reflect.TypeOf(uop{}).Size(); got != 16 {
+		t.Errorf("uop is %d bytes, want 16", got)
 	}
 	for _, m := range Machines() {
 		p := storeLoop(m)
 		got := p.Predecode(m)
 		tb := p.predecode(m)
-		want := int64(cap(tb.facts))*8 + int64(cap(tb.at))*4 +
+		want := int64(cap(tb.facts))*8 + int64(cap(tb.uops))*16 + int64(cap(tb.at))*4 +
 			int64(cap(tb.regions))*int64(reflect.TypeOf(region{}).Size()) +
 			int64(cap(tb.slots)) + int64(cap(tb.memo))*8
 		for _, r := range tb.regions {

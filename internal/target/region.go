@@ -8,10 +8,11 @@ import (
 // The simulator runs translated code one region at a time. A region
 // is straight-line code: plain instructions from a leader, optionally
 // ended by a control transfer and, on the delay-slot machines, the
-// instruction in its slot. Run adds a whole region's instruction and
-// category counts at once, checks the budget and poll threshold once
-// per region, and charges the region's pipeline cost from a memo keyed
-// by the pipeline state it was entered in (charge).
+// instruction in its slot. Run adds a whole region's instruction count
+// at once (its category counts when the run ends, from how often the
+// region ran), checks the budget and poll threshold once per region,
+// and charges the region's pipeline cost from a memo keyed by the
+// pipeline state it was entered in (charge).
 //
 // The memo is exact. issue compares a scoreboard entry only in the
 // form avail[s]+k > c, with k in {0, 1} (the AGI penalty) and c at
@@ -40,7 +41,6 @@ const (
 type region struct {
 	cats  [NumCats]uint8 // executed instructions per category
 	start int32          // first instruction
-	ctl   int32          // the ending control transfer, or -1
 	end   int32          // one past the last instruction (the delay slot, if any)
 	slots uint32         // offset in issueTable.slots of nin live-ins, then nout written slots
 	nin   uint8          // noMemo: the region is never memoized
@@ -57,7 +57,7 @@ type memoKey [2]uint64
 // slot's avail relative to the entry clock.
 const memoHeader = 3
 
-// plain reports whether in executes as a simple step: not a control
+// plain reports whether in is a plain instruction: not a control
 // transfer, a syscall, a breakpoint or a halt.
 func plain(in *Inst, f *issueFact) bool {
 	return f.bits&factCtl == 0 && in.Op != Syscall && in.Op != Break && in.Op != Halt
@@ -123,15 +123,15 @@ func buildRegions(t *issueTable, p *Program) {
 		for j < n && j-i < maxRegion && plain(&code[j], &facts[j]) && (j == i || at[j] != 1) {
 			j++
 		}
-		r := region{start: i, ctl: -1, end: j}
+		r := region{start: i, end: j}
 		if j == i+maxRegion && j < n {
 			at[j] = 1
 		} else if j < n && (j == i || at[j] != 1) && facts[j].bits&factCtl != 0 && j-i+2 <= maxRegion {
 			switch {
 			case !delay:
-				r.ctl, r.end = j, j+1
+				r.end = j + 1
 			case j+1 < n && facts[j+1].bits&factCtl == 0 && code[j+1].Op != Syscall:
-				r.ctl, r.end = j, j+2
+				r.end = j + 2
 			}
 		}
 		if r.end == i {
@@ -175,6 +175,7 @@ func buildRegions(t *issueTable, p *Program) {
 	t.memo = make([]unsafe.Pointer, memoWays*len(t.regions))
 
 	t.bytes = int64(cap(t.facts))*int64(unsafe.Sizeof(issueFact{})) +
+		int64(cap(t.uops))*int64(unsafe.Sizeof(uop{})) +
 		int64(cap(t.at))*4 +
 		int64(cap(t.regions))*int64(unsafe.Sizeof(region{})) +
 		int64(cap(t.slots)) +
