@@ -451,6 +451,12 @@ const (
 	rSink = 65 // never read: absorbs discarded writes
 )
 
+// regForm maps each opcode with no second register operand (the
+// immediate forms, the moves, Beqz and Bnez) to the register form its
+// micro-op runs as, with b reading rZero.
+var regForm = [NumOps]Op{AddI: Add, Lea: Add, MovI: Add, Lui: Add, Mov: Add, AndI: And, OrI: Or, XorI: Xor,
+	SllI: Sll, SrlI: Srl, SraI: Sra, SltI: Slt, SltuI: Sltu, CmpI: Cmp, CmpUI: Cmp, Beqz: Beq, Bnez: Bne}
+
 // decodeUop predecodes in for a machine whose hardwired zero register
 // is zero (NoReg for none).
 func decodeUop(in *Inst, zero Reg) uop {
@@ -493,36 +499,18 @@ func decodeUop(in *Inst, zero Reg) uop {
 		}
 		return u
 	}
-	// Immediate forms fold onto their register forms.
+	if k := regForm[op]; k != 0 {
+		u.kind, u.b = k, rZero
+	}
 	switch op {
 	case Add, Sub, Mul, Div, DivU, Rem, RemU, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu, Cmp:
 		u.imm = 0
-	case AddI, Lea:
-		u.kind, u.b = Add, rZero
-	case AndI:
-		u.kind, u.b = And, rZero
-	case OrI:
-		u.kind, u.b = Or, rZero
-	case XorI:
-		u.kind, u.b = Xor, rZero
-	case SllI:
-		u.kind, u.b = Sll, rZero
-	case SrlI:
-		u.kind, u.b = Srl, rZero
-	case SraI:
-		u.kind, u.b = Sra, rZero
-	case SltI:
-		u.kind, u.b = Slt, rZero
-	case SltuI:
-		u.kind, u.b = Sltu, rZero
-	case CmpI, CmpUI:
-		u.kind, u.b = Cmp, rZero
 	case MovI:
-		u.kind, u.a, u.b = Add, rZero, rZero
+		u.a = rZero
 	case Lui:
-		u.kind, u.a, u.b, u.imm = Add, rZero, rZero, uint32(in.Imm)<<16
+		u.a, u.imm = rZero, uint32(in.Imm)<<16
 	case Mov:
-		u.kind, u.b, u.imm = Add, rZero, 0
+		u.imm = 0
 	case Neg:
 		u.kind, u.a, u.b, u.imm = Sub, rZero, src(in.Rs1), 0
 	case Lb, Lbu, Lh, Lhu, Lw, Lf, Ld, Sb, Sh, Sw, Sf, Sd:
@@ -549,10 +537,6 @@ func decodeUop(in *Inst, zero Reg) uop {
 		u.d = fdst(in.Rd)
 	case MovFW, CvtSW, CvtDW:
 		u.a = fsrc(in.Rs1)
-	case Beqz:
-		u.kind, u.b = Beq, rZero
-	case Bnez:
-		u.kind, u.b = Bne, rZero
 	case J:
 		u.kind, u.d = Jal, rSink
 	case Jr:
