@@ -114,7 +114,8 @@ func New(m *Machine, prog *Program, mem *seg.Memory, env *hostapi.Env) *Sim {
 // allocation, for callers that embed a Sim and reuse it across runs
 // (the serving layer's pooled hosts). The zero-value assignment
 // clears every piece of run state (registers, counters, pipeline
-// clock); the tail mirrors New exactly.
+// clock) and keeps the region-count buffer, which Run leaves zero; the
+// tail mirrors New exactly.
 func (s *Sim) Reset(m *Machine, prog *Program, mem *seg.Memory, env *hostapi.Env) {
 	*s = Sim{M: m, Prog: prog, Mem: mem, Env: env, pc: prog.Entry, runs: s.runs}
 	s.pipe.init(m)
